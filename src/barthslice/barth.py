@@ -211,16 +211,6 @@ def residual(x: SliceData) -> SliceResidual:
     return SliceResidual(r1, r2, r3)
 
 
-def residual_cross(h: SliceData) -> SliceResidual:
-    """Purely bilinear tail of the expansion.
-
-    The residual is bilinear in (half, fiber), so
-    residual(x + h) = residual(x) + directional terms + residual_cross(h)
-    holds exactly, with residual_cross(h) = residual(h).
-    """
-    return residual(h)
-
-
 def sym_index(n: int) -> list[tuple[int, int]]:
     """Upper triangle including the diagonal, row-major."""
     return [(i, j) for i in range(n) for j in range(i, n)]
@@ -449,11 +439,16 @@ def random_orthogonal(rng, field: Field, n: int, *, signed_permutation: bool = T
 
 
 def random_sl2(rng, field: Field) -> Matrix:
-    """Random 2x2 matrix of determinant one (top-left entry kept nonzero)."""
-    while True:
+    """Random 2x2 matrix of determinant one (top-left entry kept nonzero).
+
+    Resamples a zero top-left entry, then gives up with SamplingError.
+    """
+    for _ in range(64):
         s = field.sample(rng)
         if s != field.zero():
             break
+    else:
+        raise SamplingError("no nonzero top-left entry found in 64 attempts")
     t = field.sample(rng)
     u = field.sample(rng)
     v = field.div(field.add(field.one(), field.mul(t, u)), s)

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .barth import (
@@ -28,7 +28,7 @@ from .barth import (
     sym_index,
     vec_fiber,
 )
-from .errors import DomainError, WitnessUnavailable
+from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field
 from .linalg import Matrix, kernel_basis, rank, spans_match
 from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
@@ -63,18 +63,7 @@ class DimensionRecord:
     canonical_component_dim: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "moduli_dim": self.moduli_dim,
-            "symmetry_group_dim": self.symmetry_group_dim,
-            "slice_component_dim": self.slice_component_dim,
-            "expected_fiber_dim": self.expected_fiber_dim,
-            "equation_count": self.equation_count,
-            "fiber_unknowns": self.fiber_unknowns,
-            "full_unknowns": self.full_unknowns,
-            "base_dim": self.base_dim,
-            "canonical_component_dim": self.canonical_component_dim,
-        }
+        return asdict(self)
 
 
 def dimension_formulas(n: int) -> DimensionRecord:
@@ -86,7 +75,7 @@ def dimension_formulas(n: int) -> DimensionRecord:
         moduli_dim=8 * n - 3,
         symmetry_group_dim=n * (n - 1) // 2 + 3,
         slice_component_dim=8 * n + n * (n - 1) // 2,
-        expected_fiber_dim=n * (9 - n) // 2 if n <= 8 else 4,
+        expected_fiber_dim=expected_kernel_dim(n),
         equation_count=3 * n * (n - 1) // 2,
         fiber_unknowns=n * (n + 3),
         full_unknowns=2 * n * (n + 3),
@@ -279,25 +268,6 @@ def _family_trial_ok(half: HalfData, basis: list) -> bool:
     return spans_match(half.field, basis, canonical, half.n * (half.n + 3))
 
 
-def family_check(n: int, trials: int, rng: SeededRng, field: Field) -> bool:
-    """Whether the fiber is exactly the canonical 4-dimensional family.
-
-    For every trial the kernel of the fiber system must have dimension 4
-    and coincide, as a subspace, with the span of the canonical solutions.
-    """
-    if n < 8:
-        raise DomainError("family verification applies to n >= 8 only")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    for trial in range(trials):
-        sub = rng.substream(f"census/n={n}/trial={trial}")
-        half = sample_half(sub, field, n)
-        basis = kernel_basis(fiber_system(half))
-        if not _family_trial_ok(half, basis):
-            return False
-    return True
-
-
 def certificate_ok(cert: Certificate) -> bool:
     """Whether a certificate meets its expectation (drives CLI exit codes)."""
     if cert.witness is not None:
@@ -332,10 +302,11 @@ def _nonzero_kernel_point(rng: SeededRng, field: Field, basis: list,
 
 def _sample_direction(rng: SeededRng, field: Field) -> list:
     z = field.zero()
-    while True:
+    for _ in range(64):
         v = [field.sample(rng) for _ in range(4)]
         if any(c != z for c in v):
             return v
+    raise SamplingError("could not sample a nonzero direction in 64 attempts")
 
 
 def witness_pipeline(n: int, rng: SeededRng, field: Field, *,

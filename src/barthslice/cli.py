@@ -17,6 +17,7 @@ import sys
 from ._version import __version__
 from .census import (
     CERTIFICATE_VERSION,
+    _log,
     census_threshold,
     certificate_ok,
     dimension_formulas,
@@ -143,12 +144,11 @@ def _emit(payload: str, out: str):
         sys.stdout.write(payload + "\n")
         sys.stdout.flush()
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-
-
-def _log(message: str):
-    print(message, file=sys.stderr)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _run_dims(args) -> int:
@@ -254,10 +254,7 @@ def main(argv=None) -> int:
         if args.command == "witness":
             return _run_witness(args)
         return _run_selftest(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BarthSliceError as exc:
+    except (UsageError, BarthSliceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,8 +25,6 @@ DEFAULT_PRIME = 2_147_483_647
 #: rejected unless explicitly allowed.
 SMALL_PRIME_FLOOR = 1 << 20
 
-Element = Union[int, Fraction]
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -202,17 +200,3 @@ class RationalField:
 
 
 Field = Union[PrimeField, RationalField]
-
-_OPS = {"add", "sub", "mul", "div"}
-
-
-def field_arithmetic(field: Field, x: Element, y: Element, op: str) -> Element:
-    """Apply one of add/sub/mul/div to two elements of ``field``."""
-    if op not in _OPS:
-        raise DomainError(f"unknown field operation {op!r}")
-    return getattr(field, op)(field.coerce(x), field.coerce(y))
-
-
-def sample_element(rng, field: Field) -> Element:
-    """Draw one element: uniform over GF(p), uniform integer window for QQ."""
-    return field.sample(rng)

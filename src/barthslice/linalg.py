@@ -76,13 +76,6 @@ class Matrix:
         data = [[o if i == j else z for j in range(n)] for i in range(n)]
         return cls._raw(field, data, n)
 
-    @classmethod
-    def diagonal(cls, field: Field, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        z = field.zero()
-        data = [[field.coerce(entries[i]) if i == j else z for j in range(n)] for i in range(n)]
-        return cls._raw(field, data, n)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -90,12 +83,6 @@ class Matrix:
     def __getitem__(self, key) -> object:
         i, j = key
         return self.data[i][j]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i])
-
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
 
     def copy(self) -> "Matrix":
         return Matrix._raw(self.field, [row[:] for row in self.data], self.cols)
@@ -226,27 +213,6 @@ class Matrix:
                 raise ShapeError("hstack blocks disagree in row count or field")
         data = [sum((b.data[i] for b in blocks), []) for i in range(rows)]
         return Matrix._raw(field, data, sum(b.cols for b in blocks))
-
-    @staticmethod
-    def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        if not blocks:
-            raise ShapeError("vstack of no blocks")
-        field = blocks[0].field
-        cols = blocks[0].cols
-        for b in blocks:
-            if b.cols != cols or b.field != field:
-                raise ShapeError("vstack blocks disagree in column count or field")
-        data = [row[:] for b in blocks for row in b.data]
-        return Matrix._raw(field, data, cols)
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence], cols: int) -> "Matrix":
-        return cls(field, rows, cols)
-
-    def to_text(self) -> str:
-        """Debug dump: one row per line, entries space-separated."""
-        to_s = self.field.element_to_str
-        return "\n".join(" ".join(to_s(x) for x in row) for row in self.data)
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"

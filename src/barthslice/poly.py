@@ -27,14 +27,6 @@ class Poly:
     def zero(cls, field: Field) -> "Poly":
         return cls(field, ())
 
-    @classmethod
-    def constant(cls, field: Field, c) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, (field.zero(), field.one()))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -126,14 +118,6 @@ class Poly:
             for j, d in enumerate(dcs):
                 rem[i + j] = f.sub(rem[i + j], f.mul(c, d))
         return Poly(f, q), Poly(f, rem)
-
-    def evaluate(self, t):
-        f = self.field
-        t = f.coerce(t)
-        acc = f.zero()
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, t), c)
-        return acc
 
     def __repr__(self):
         return f"Poly({self.coeffs!r})"

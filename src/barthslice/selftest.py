@@ -27,8 +27,8 @@ from .barth import (
     residual,
     vec_fiber,
 )
-from .census import _sample_symmetric, sample_half
-from .fields import Field, PrimeField, RationalField, field_arithmetic
+from .census import _nonzero_kernel_point, sample_half
+from .fields import Field, PrimeField, RationalField
 from .linalg import Matrix, kernel_basis, matvec, rank
 from .monad import build_gamma, monad_condition
 from .rng import SeededRng
@@ -58,11 +58,9 @@ class SelftestResult:
 
 
 def _sample_fiber(rng: SeededRng, field: Field, n: int) -> FiberData:
-    b1m = _sample_symmetric(rng, field, n)
-    b2m = _sample_symmetric(rng, field, n)
-    b1 = tuple(field.sample(rng) for _ in range(n))
-    b2 = tuple(field.sample(rng) for _ in range(n))
-    return FiberData(b1m, b2m, b1, b2)
+    # a fiber datum has the shape of a half datum, drawn in the same order
+    h = sample_half(rng, field, n)
+    return FiberData(h.A1, h.A2, h.a1, h.a2)
 
 
 def _fiber_add(x: FiberData, y: FiberData) -> FiberData:
@@ -120,8 +118,6 @@ def _check_field_axioms(field: Field, rng: SeededRng, count: int) -> bool:
         if a != field.zero() and field.mul(a, field.inv(a)) != one:
             return False
         if field.element_from_str(field.element_to_str(a)) != a:
-            return False
-        if field_arithmetic(field, a, b, "sub") != field.sub(a, b):
             return False
     return True
 
@@ -200,15 +196,10 @@ def _check_bilinearity(field: Field, rng: SeededRng, n: int, count: int) -> bool
 
 
 def _kernel_point(rng: SeededRng, field: Field, half: HalfData) -> FiberData:
+    """Random point of the fiber over `half`, drawn as in the witness pipeline."""
     n = half.n
     basis = kernel_basis(fiber_system(half))
-    width = n * (n + 3)
-    point = [field.zero()] * width
-    for vec in basis:
-        c = field.sample(rng)
-        for k in range(width):
-            point[k] = field.add(point[k], field.mul(c, vec[k]))
-    return fiber_from_vec(field, n, point)
+    return fiber_from_vec(field, n, _nonzero_kernel_point(rng, field, basis, n * (n + 3)))
 
 
 def _check_monad_equivalence(field: Field, rng: SeededRng, n: int,

@@ -9,7 +9,6 @@ from barthslice.census import (
     certificate_ok,
     dimension_formulas,
     expected_kernel_dim,
-    family_check,
     fiber_census,
     sample_half,
     witness_certificate,
@@ -137,13 +136,14 @@ def test_census_validates_inputs():
 
 
 def test_family_check_n8_and_n10():
-    assert family_check(8, 20, SeededRng(5), GF)
-    assert family_check(10, 20, SeededRng(5), GF)
+    for n in (8, 10):
+        cert = fiber_census(n, 20, SeededRng(5), GF, check_family=True)
+        assert cert.family_check is True, n
 
 
 def test_family_check_rejects_small_n():
     with pytest.raises(DomainError):
-        family_check(7, 5, SeededRng(5), GF)
+        fiber_census(7, 5, SeededRng(5), GF, check_family=True)
 
 
 def test_family_negative_control_zero_half():

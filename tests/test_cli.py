@@ -132,6 +132,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(on_disk)[0]["n"] == 4
 
 
+def test_out_flag_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "cert.json"
+    code, out, err = run_cli(capsys, "dims", "--n", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_console_script_subprocess():
     # end-to-end through the installed entry point
     result = subprocess.run(

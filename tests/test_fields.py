@@ -7,9 +7,7 @@ from barthslice.fields import (
     DEFAULT_PRIME,
     PrimeField,
     RationalField,
-    field_arithmetic,
     is_prime,
-    sample_element,
 )
 from barthslice.rng import SeededRng
 
@@ -125,18 +123,3 @@ def test_prime_sample_reproducible():
     b = [gf.sample(SeededRng(0)) for _ in range(1)]
     assert a == b
     assert 0 <= a[0] < gf.characteristic
-
-
-def test_field_arithmetic_dispatch():
-    gf = PrimeField()
-    assert field_arithmetic(gf, 3, 4, "add") == 7
-    assert field_arithmetic(gf, 3, 4, "sub") == gf.sub(3, 4)
-    assert field_arithmetic(gf, 3, 4, "mul") == 12
-    assert field_arithmetic(gf, 12, 4, "div") == 3
-    with pytest.raises(DomainError):
-        field_arithmetic(gf, 1, 2, "pow")
-
-
-def test_sample_element_matches_field_sample():
-    gf = PrimeField()
-    assert sample_element(SeededRng(2), gf) == gf.sample(SeededRng(2))

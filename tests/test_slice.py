@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from barthslice.barth import (
     random_orthogonal,
     random_sl2,
     residual,
-    residual_cross,
     skew_index,
     sym_index,
     vec_fiber,
@@ -150,15 +151,15 @@ def test_residual_oracle_n2():
     assert r.R2.is_zero() and r.R3.is_zero()
 
 
-def test_residual_cross_vanishes_on_half_only_or_fiber_only():
+def test_residual_vanishes_on_half_only_or_fiber_only():
     rng = SeededRng(12)
     half = sample_half(rng, GF, 3)
     h1 = SliceData(half, zero_fiber(GF, 3))
-    assert residual_cross(h1).is_zero()
+    assert residual(h1).is_zero()
     z = Matrix.zeros(GF, 3, 3)
     zv = (0, 0, 0)
     h2 = SliceData(HalfData(3, z, z, zv, zv), sample_fiber(rng, GF, 3))
-    assert residual_cross(h2).is_zero()
+    assert residual(h2).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,29 @@ def test_sampling_error_after_exhausted_attempts(monkeypatch):
         random_orthogonal(SeededRng(0), GF, 3)
 
 
+@pytest.mark.parametrize("call", [
+    "barthslice.barth.random_sl2(SeededRng(0), RationalField(sample_window=0))",
+    "barthslice.census._sample_direction(SeededRng(0), RationalField(sample_window=0))",
+])
+def test_resampling_loops_give_up(call):
+    # Window 0 only ever draws zero.  The call runs in a child process so
+    # that an unbounded loop fails the test by timeout instead of hanging.
+    script = (
+        "import barthslice.barth, barthslice.census\n"
+        "from barthslice.errors import SamplingError\n"
+        "from barthslice.fields import RationalField\n"
+        "from barthslice.rng import SeededRng\n"
+        "try:\n"
+        f"    {call}\n"
+        "except SamplingError:\n"
+        "    print('gave up')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+    )
+    assert result.stdout == "gave up\n", result.stderr
+
+
 # ---------------------------------------------------------------------------
 # jacobian
 
@@ -481,7 +505,7 @@ def test_jacobian_directional_identity(field):
             for a, b, c in zip(
                 vec_skew(residual(xh)),
                 vec_skew(residual(x)),
-                vec_skew(residual_cross(h)),
+                vec_skew(residual(h)),
             )
         ]
         assert lhs == matvec(jacobian(x), vec_slice(h))
