@@ -221,24 +221,20 @@ def skew_index(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _vec_pair(n: int, m1: Matrix, m2: Matrix, v1: tuple, v2: tuple) -> list:
+    idx = sym_index(n)
+    out = [m1.data[i][j] for i, j in idx] + [m2.data[i][j] for i, j in idx]
+    return out + list(v1) + list(v2)
+
+
 def vec_fiber(f: FiberData) -> list:
     """Fiber coordinates: vech(B1), vech(B2), b1, b2; length n(n+3)."""
-    idx = sym_index(f.n)
-    out = [f.B1.data[i][j] for i, j in idx]
-    out += [f.B2.data[i][j] for i, j in idx]
-    out += list(f.b1)
-    out += list(f.b2)
-    return out
+    return _vec_pair(f.n, f.B1, f.B2, f.b1, f.b2)
 
 
 def vec_half(h: HalfData) -> list:
     """Half coordinates: vech(A1), vech(A2), a1, a2; length n(n+3)."""
-    idx = sym_index(h.n)
-    out = [h.A1.data[i][j] for i, j in idx]
-    out += [h.A2.data[i][j] for i, j in idx]
-    out += list(h.a1)
-    out += list(h.a2)
-    return out
+    return _vec_pair(h.n, h.A1, h.A2, h.a1, h.a2)
 
 
 def vec_slice(x: SliceData) -> list:
@@ -265,30 +261,74 @@ def _symmetric_from_vech(field: Field, n: int, vals: list) -> Matrix:
     return Matrix._raw(field, data, n)
 
 
-def fiber_from_vec(field: Field, n: int, v: list) -> FiberData:
-    """Inverse of vec_fiber."""
+def _unvec_pair(field: Field, n: int, v: list, name: str) -> tuple:
+    # inverse of _vec_pair: (M1, M2, v1, v2) with entries coerced into `field`
     s = n * (n + 1) // 2
     if len(v) != n * (n + 3):
-        raise ShapeError(f"fiber vector has length {len(v)}, expected {n * (n + 3)}")
+        raise ShapeError(f"{name} vector has length {len(v)}, expected {n * (n + 3)}")
     v = [field.coerce(x) for x in v]
-    b1m = _symmetric_from_vech(field, n, v[:s])
-    b2m = _symmetric_from_vech(field, n, v[s : 2 * s])
-    return FiberData(b1m, b2m, tuple(v[2 * s : 2 * s + n]), tuple(v[2 * s + n :]))
+    return (
+        _symmetric_from_vech(field, n, v[:s]),
+        _symmetric_from_vech(field, n, v[s : 2 * s]),
+        tuple(v[2 * s : 2 * s + n]),
+        tuple(v[2 * s + n :]),
+    )
+
+
+def fiber_from_vec(field: Field, n: int, v: list) -> FiberData:
+    """Inverse of vec_fiber."""
+    return FiberData(*_unvec_pair(field, n, v, "fiber"))
 
 
 def half_from_vec(field: Field, n: int, v: list) -> HalfData:
     """Inverse of vec_half."""
-    s = n * (n + 1) // 2
-    if len(v) != n * (n + 3):
-        raise ShapeError(f"half vector has length {len(v)}, expected {n * (n + 3)}")
-    v = [field.coerce(x) for x in v]
-    a1m = _symmetric_from_vech(field, n, v[:s])
-    a2m = _symmetric_from_vech(field, n, v[s : 2 * s])
-    return HalfData(n, a1m, a2m, tuple(v[2 * s : 2 * s + n]), tuple(v[2 * s + n :]))
+    return HalfData(n, *_unvec_pair(field, n, v, "half"))
 
 
 # ---------------------------------------------------------------------------
 # The linear fiber system
+
+
+def _bracket_block(field: Field, X: Matrix, x: tuple) -> list[list]:
+    """Rows of L(Y, y) = [X, Y] + x ^ y for symmetric Y.
+
+    One row per skew index pair (i, j), columns vech(Y) then y; entries
+    are coerced once, when the row is complete.
+    """
+    n = X.rows
+    s = n * (n + 1) // 2
+    pos = {ij: k for k, ij in enumerate(sym_index(n))}
+    xd = X.data
+    rows = []
+    for i, j in skew_index(n):
+        row = [0] * (s + n)
+        xi = xd[i]
+        for k in range(n):
+            # [X, Y]_ij = sum_k X_ik Y_kj - Y_ik X_kj
+            row[pos[(k, j) if k <= j else (j, k)]] += xi[k]
+            row[pos[(i, k) if i <= k else (k, i)]] -= xd[k][j]
+        # (x ^ y)_ij = x_i y_j - y_i x_j
+        row[s + j] += x[i]
+        row[s + i] -= x[j]
+        rows.append([field.coerce(e) for e in row])
+    return rows
+
+
+def _block_system(field: Field, X1: Matrix, x1: tuple, X2: Matrix, x2: tuple) -> Matrix:
+    """[[L1, 0], [0, L2], [L2, L1]] with L_i = _bracket_block(X_i, x_i).
+
+    Block columns are (Y1, y1) and (Y2, y2), laid out as Y1, Y2, y1, y2.
+    """
+    n = X1.rows
+    s = n * (n + 1) // 2
+    l1 = _bracket_block(field, X1, x1)
+    l2 = _bracket_block(field, X2, x2)
+    zs = [field.zero()] * s
+    zn = [field.zero()] * n
+    rows = [r[:s] + zs + r[s:] + zn for r in l1]
+    rows += [zs + r[:s] + zn + r[s:] for r in l2]
+    rows += [p[:s] + q[:s] + p[s:] + q[s:] for p, q in zip(l2, l1)]
+    return Matrix._raw(field, rows, 2 * (s + n))
 
 
 def fiber_system(half: HalfData) -> Matrix:
@@ -296,40 +336,10 @@ def fiber_system(half: HalfData) -> Matrix:
 
     L has 3n(n-1)/2 rows and n(n+3) columns and satisfies
     vec_skew(residual(half, f)) = L @ vec_fiber(f) for every FiberData f.
+    In block form L = [[L1, 0], [0, L2], [L2, L1]] over (B1, b1), (B2, b2),
+    where L_i(B, b) = [A_i, B] + a_i ^ b.
     """
-    n = half.n
-    field = half.field
-    s = n * (n + 1) // 2
-    width = n * (n + 3)
-    pos = {ij: k for k, ij in enumerate(sym_index(n))}
-    a1_off, a2_off = 2 * s, 2 * s + n
-
-    # per equation: commutator terms (matrix, unknown block offset) and
-    # wedge terms (vector, unknown vector offset)
-    equations = (
-        ([(half.A1.data, 0)], [(half.a1, a1_off)]),
-        ([(half.A2.data, s)], [(half.a2, a2_off)]),
-        (
-            [(half.A1.data, s), (half.A2.data, 0)],
-            [(half.a1, a2_off), (half.a2, a1_off)],
-        ),
-    )
-
-    rows = []
-    pairs = skew_index(n)
-    for commutators, wedges in equations:
-        for i, j in pairs:
-            row = [0] * width
-            for sd, off in commutators:
-                srow = sd[i]
-                for k in range(n):
-                    row[off + pos[(k, j) if k <= j else (j, k)]] += srow[k]
-                    row[off + pos[(i, k) if i <= k else (k, i)]] -= sd[k][j]
-            for vec, off in wedges:
-                row[off + j] += vec[i]
-                row[off + i] -= vec[j]
-            rows.append([field.coerce(e) for e in row])
-    return Matrix._raw(field, rows, width)
+    return _block_system(half.field, half.A1, half.a1, half.A2, half.a2)
 
 
 def canonical_fiber_solutions(half: HalfData) -> list[FiberData]:
@@ -402,19 +412,18 @@ def compose_group(e2: GroupElement, e1: GroupElement) -> GroupElement:
     return GroupElement(e2.g @ e1.g, e1.m @ e2.m)
 
 
-def random_orthogonal(rng, field: Field, n: int, *, signed_permutation: bool = True,
-                      attempts: int = 16) -> Matrix:
+def random_orthogonal(rng, field: Field, n: int) -> Matrix:
     """Exactly orthogonal matrix from the Cayley transform of a random skew S.
 
-    Returns (I - S)(I + S)^{-1}, optionally composed with a random signed
-    permutation so all components of O(n) are reachable.  Resamples S when
-    I + S is singular, then gives up with SamplingError.
+    Returns (I - S)(I + S)^{-1} composed with a random signed permutation,
+    so all components of O(n) are reachable.  Resamples S when I + S is
+    singular, then gives up with SamplingError after 16 attempts.
     """
     _check_not_char2(field)
     if n < 1:
         raise DomainError("orthogonal matrices need n >= 1")
     eye = Matrix.identity(field, n)
-    for _ in range(attempts):
+    for _ in range(16):
         z = field.zero()
         data = [[z] * n for _ in range(n)]
         for i, j in skew_index(n):
@@ -426,8 +435,6 @@ def random_orthogonal(rng, field: Field, n: int, *, signed_permutation: bool = T
             cayley = (eye - skew) @ inverse(eye + skew)
         except DomainError:
             continue
-        if not signed_permutation:
-            return cayley
         perm = rng.permutation(n)
         one = field.one()
         signs = [one if rng.integers(2) == 0 else field.neg(one) for _ in range(n)]
@@ -435,7 +442,7 @@ def random_orthogonal(rng, field: Field, n: int, *, signed_permutation: bool = T
         for i in range(n):
             pdata[i][perm[i]] = signs[i]
         return Matrix._raw(field, pdata, n) @ cayley
-    raise SamplingError(f"no invertible I + S found in {attempts} attempts")
+    raise SamplingError("no invertible I + S found in 16 attempts")
 
 
 def random_sl2(rng, field: Field) -> Matrix:
@@ -467,12 +474,10 @@ def jacobian(x: SliceData) -> Matrix:
     """Exact derivative of vec_skew(residual) in the full coordinates.
 
     Shape (3n(n-1)/2) x 2n(n+3), half-block columns first.  By bilinearity
-    the fiber block is fiber_system(x.half); the half block is the linear
-    system in (A, a) with (B, b) frozen, which is the negated fiber system
-    of the fiber data read as half data.
+    the fiber block is fiber_system(x.half).  The half block is the same
+    block system with (B, b) frozen instead, negated: [X, Y] + x ^ y changes
+    sign when (X, x) and (Y, y) swap.
     """
     f = x.fiber
-    swapped = HalfData(x.n, f.B1, f.B2, f.b1, f.b2)
-    half_block = -fiber_system(swapped)
-    fiber_block = fiber_system(x.half)
-    return Matrix.hstack([half_block, fiber_block])
+    half_block = -_block_system(x.field, f.B1, f.b1, f.B2, f.b2)
+    return Matrix.hstack([half_block, fiber_system(x.half)])

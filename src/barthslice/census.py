@@ -10,7 +10,6 @@ reproducible.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 import warnings
@@ -23,14 +22,14 @@ from .barth import (
     canonical_fiber_solutions,
     fiber_from_vec,
     fiber_system,
+    half_from_vec,
     jacobian,
     residual,
-    sym_index,
     vec_fiber,
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field
-from .linalg import Matrix, kernel_basis, rank, spans_match
+from .linalg import kernel_basis, rank, spans_match
 from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -164,9 +163,6 @@ class Certificate:
             "timings_ms": self.timings_ms,
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def _log(message: str):
     print(message, file=sys.stderr)
@@ -189,23 +185,10 @@ class _StageClock:
 # Sampling
 
 
-def _sample_symmetric(rng: SeededRng, field: Field, n: int) -> Matrix:
-    z = field.zero()
-    data = [[z] * n for _ in range(n)]
-    for i, j in sym_index(n):
-        v = field.sample(rng)
-        data[i][j] = v
-        data[j][i] = v
-    return Matrix._raw(field, data, n)
-
-
 def sample_half(rng: SeededRng, field: Field, n: int) -> HalfData:
-    """Uniform half datum; draw order is A1, A2, a1, a2 (triangles row-major)."""
-    a1m = _sample_symmetric(rng, field, n)
-    a2m = _sample_symmetric(rng, field, n)
-    a1 = tuple(field.sample(rng) for _ in range(n))
-    a2 = tuple(field.sample(rng) for _ in range(n))
-    return HalfData(n, a1m, a2m, a1, a2)
+    """Uniform half datum; draws its coordinates in vec_half order:
+    vech(A1), vech(A2), a1, a2 (triangles row-major)."""
+    return half_from_vec(field, n, [field.sample(rng) for _ in range(n * (n + 3))])
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +266,10 @@ def certificate_ok(cert: Certificate) -> bool:
 # Witness
 
 
-def _nonzero_kernel_point(rng: SeededRng, field: Field, basis: list,
-                          width: int, attempts: int = 64) -> list:
+def _nonzero_kernel_point(rng: SeededRng, field: Field, basis: list, width: int) -> list:
     """Random field combination of kernel basis vectors, resampled if zero."""
     z = field.zero()
-    for _ in range(attempts):
+    for _ in range(64):
         coeffs = [field.sample(rng) for _ in basis]
         point = [z] * width
         for c, vec in zip(coeffs, basis):
@@ -297,7 +279,7 @@ def _nonzero_kernel_point(rng: SeededRng, field: Field, basis: list,
                 point[k] = field.add(point[k], field.mul(c, vec[k]))
         if any(e != z for e in point):
             return point
-    raise WitnessUnavailable("could not sample a nonzero kernel point")
+    raise SamplingError("could not sample a nonzero kernel point in 64 attempts")
 
 
 def _sample_direction(rng: SeededRng, field: Field) -> list:

@@ -25,7 +25,7 @@ from .census import (
     fiber_census,
     witness_certificate,
 )
-from .errors import BarthSliceError, SamplingError, WitnessUnavailable
+from .errors import BarthSliceError, WitnessUnavailable
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 from .rng import SeededRng
 
@@ -207,7 +207,7 @@ def _run_witness(args) -> int:
             cert = witness_certificate(
                 n, rng, field, points=args.points, measure_timings=args.measure_timings
             )
-        except (WitnessUnavailable, SamplingError) as exc:
+        except WitnessUnavailable as exc:
             _log(f"witness n={n}: {exc} FAIL")
             _emit(json.dumps([c.to_json_dict() for c in certs], indent=2), args.out)
             return 1

@@ -6,8 +6,8 @@ representational equality:
 * GF(p): residues as ``int`` in ``[0, p)``,
 * QQ: ``fractions.Fraction`` (always reduced, positive denominator).
 
-A field object owns the arithmetic, the random sampling rule and the text
-serialization for its elements.  All operations are pure.
+A field object owns the arithmetic and the random sampling rule for its
+elements.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def is_prime(n: int) -> bool:
 
 class PrimeField:
     """The finite field GF(p), elements stored as canonical residues."""
-
-    kind = "prime"
 
     def __init__(self, p: int = DEFAULT_PRIME, *, allow_small: bool = False):
         if not isinstance(p, int) or not is_prime(p):
@@ -106,12 +104,6 @@ class PrimeField:
         """Uniform element of GF(p)."""
         return rng.integers(self.p)
 
-    def element_to_str(self, x: int) -> str:
-        return str(x)
-
-    def element_from_str(self, s: str) -> int:
-        return int(s) % self.p
-
     def describe(self) -> str:
         return f"GF({self.p})"
 
@@ -132,7 +124,6 @@ class RationalField:
     it is a sampling configuration, not part of the field identity.
     """
 
-    kind = "rational"
     characteristic = 0
 
     def __init__(self, sample_window: int = 100):
@@ -179,12 +170,6 @@ class RationalField:
         """Uniform integer in [-M, M] for the configured window M."""
         m = self.sample_window
         return Fraction(rng.integers(2 * m + 1) - m)
-
-    def element_to_str(self, x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}"
-
-    def element_from_str(self, s: str) -> Fraction:
-        return Fraction(s)
 
     def describe(self) -> str:
         return f"QQ(window={self.sample_window})"

@@ -422,18 +422,19 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> list[list]:
-    """Canonical basis of the right kernel.
+    """Canonical basis of the right kernel, read off a single elimination.
 
-    Returns exactly ``cols - rank`` vectors v with m @ v = 0.  The stacked
-    basis is in reduced row echelon form, so two kernels coincide as
-    subspaces iff the returned bases are equal.
+    Returns exactly ``cols - rank`` vectors v with m @ v = 0, one per free
+    (non-pivot) column f of the reduced row echelon form R, in increasing
+    order of f: v is 1 at f, 0 at the other free columns, and -R[i][f] at
+    the i-th pivot column.  R and its pivots depend only on the row space
+    of m, which the kernel determines, so two kernels coincide as subspaces
+    iff the returned bases are equal.
     """
     field = m.field
     r, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    if not free:
-        return []
     z, o = field.zero(), field.one()
     neg = field.neg
     vectors = []
@@ -443,9 +444,7 @@ def kernel_basis(m: Matrix) -> list[list]:
         for i, pc in enumerate(pivots):
             v[pc] = neg(r.data[i][f])
         vectors.append(v)
-    stacked = Matrix._raw(field, vectors, m.cols)
-    reduced, _ = rref(stacked)
-    return [row[:] for row in reduced.data]
+    return vectors
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -23,9 +23,12 @@ from .barth import (
     compose_group,
     fiber_from_vec,
     fiber_system,
+    half_from_vec,
     random_group_element,
     residual,
     vec_fiber,
+    vec_half,
+    vec_skew,
 )
 from .census import _nonzero_kernel_point, sample_half
 from .fields import Field, PrimeField, RationalField
@@ -63,48 +66,6 @@ def _sample_fiber(rng: SeededRng, field: Field, n: int) -> FiberData:
     return FiberData(h.A1, h.A2, h.a1, h.a2)
 
 
-def _fiber_add(x: FiberData, y: FiberData) -> FiberData:
-    field = x.field
-    add = field.add
-    return FiberData(
-        x.B1 + y.B1,
-        x.B2 + y.B2,
-        tuple(add(p, q) for p, q in zip(x.b1, y.b1)),
-        tuple(add(p, q) for p, q in zip(x.b2, y.b2)),
-    )
-
-
-def _fiber_scale(x: FiberData, c) -> FiberData:
-    field = x.field
-    mul = field.mul
-    return FiberData(
-        x.B1.scale(c),
-        x.B2.scale(c),
-        tuple(mul(c, p) for p in x.b1),
-        tuple(mul(c, p) for p in x.b2),
-    )
-
-
-def _half_scale(h: HalfData, c) -> HalfData:
-    field = h.field
-    mul = field.mul
-    return HalfData(
-        h.n,
-        h.A1.scale(c),
-        h.A2.scale(c),
-        tuple(mul(c, p) for p in h.a1),
-        tuple(mul(c, p) for p in h.a2),
-    )
-
-
-def _residuals_equal_scaled(r, rs, c) -> bool:
-    return (
-        rs.R1 == r.R1.scale(c)
-        and rs.R2 == r.R2.scale(c)
-        and rs.R3 == r.R3.scale(c)
-    )
-
-
 def _check_field_axioms(field: Field, rng: SeededRng, count: int) -> bool:
     one = field.one()
     for _ in range(count):
@@ -116,8 +77,6 @@ def _check_field_axioms(field: Field, rng: SeededRng, count: int) -> bool:
         if field.mul(a, field.add(b, c)) != field.add(field.mul(a, b), field.mul(a, c)):
             return False
         if a != field.zero() and field.mul(a, field.inv(a)) != one:
-            return False
-        if field.element_from_str(field.element_to_str(a)) != a:
             return False
     return True
 
@@ -163,34 +122,33 @@ def _check_fiber_conventions(prime_field: Field, rng: SeededRng) -> bool:
         half = sample_half(sub, prime_field, n)
         fib = _sample_fiber(sub, prime_field, n)
         lhs = matvec(fiber_system(half), vec_fiber(fib))
-        res = residual(SliceData(half, fib))
-        rhs = []
-        for block in (res.R1, res.R2, res.R3):
-            rhs += [block.data[i][j] for i in range(n) for j in range(i + 1, n)]
-        if lhs != rhs:
+        if lhs != vec_skew(residual(SliceData(half, fib))):
             return False
     return True
 
 
 def _check_bilinearity(field: Field, rng: SeededRng, n: int, count: int) -> bool:
+    # on coordinates: each residual block is skew, so vec_skew determines it
+    add, mul = field.add, field.mul
+
+    def res(h: list, f: list) -> list:
+        x = SliceData(half_from_vec(field, n, h), fiber_from_vec(field, n, f))
+        return vec_skew(residual(x))
+
     for trial in range(count):
         sub = rng.substream(f"bilinear/n={n}/trial={trial}")
-        half = sample_half(sub, field, n)
-        f1 = _sample_fiber(sub, field, n)
-        f2 = _sample_fiber(sub, field, n)
+        h = vec_half(sample_half(sub, field, n))
+        f1 = vec_fiber(_sample_fiber(sub, field, n))
+        f2 = vec_fiber(_sample_fiber(sub, field, n))
         c = field.sample(sub)
-        r1 = residual(SliceData(half, f1))
-        r2 = residual(SliceData(half, f2))
-        r_sum = residual(SliceData(half, _fiber_add(f1, f2)))
-        if (
-            r_sum.R1 != r1.R1 + r2.R1
-            or r_sum.R2 != r1.R2 + r2.R2
-            or r_sum.R3 != r1.R3 + r2.R3
-        ):
+        r1 = res(h, f1)
+        r_sum = [add(p, q) for p, q in zip(r1, res(h, f2))]
+        if res(h, [add(p, q) for p, q in zip(f1, f2)]) != r_sum:
             return False
-        if not _residuals_equal_scaled(r1, residual(SliceData(half, _fiber_scale(f1, c))), c):
+        r_scaled = [mul(c, p) for p in r1]
+        if res(h, [mul(c, p) for p in f1]) != r_scaled:
             return False
-        if not _residuals_equal_scaled(r1, residual(SliceData(_half_scale(half, c), f1)), c):
+        if res([mul(c, p) for p in h], f1) != r_scaled:
             return False
     return True
 

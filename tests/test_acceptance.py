@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines;
 any assertion failure marks the corresponding criterion as failed.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -27,6 +28,7 @@ from barthslice.linalg import Matrix
 from barthslice.monad import build_gamma, monad_condition
 from barthslice.rng import SeededRng
 from barthslice.selftest import _kernel_point
+from test_golden import GOLDEN
 
 GF = PrimeField(2147483647)
 
@@ -136,23 +138,11 @@ def test_criterion_7_group_invariance():
 
 
 def test_criterion_8_byte_identical_certificates():
-    cmd = [
-        sys.executable,
-        "-m",
-        "barthslice.cli",
-        "census",
-        "--n-min",
-        "4",
-        "--n-max",
-        "8",
-        "--trials",
-        "100",
-        "--seed",
-        "1",
-    ]
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
-    assert first.returncode == 0 and second.returncode == 0
-    assert first.stdout == second.stdout
-    assert len(first.stdout) > 0
+    # a fresh process must reproduce the pinned bytes of this census
+    command = "census --n-min 4 --n-max 8 --trials 100 --seed 1"
+    cmd = [sys.executable, "-m", "barthslice.cli", *command.split()]
+    result = subprocess.run(cmd, capture_output=True, timeout=300)
+    assert result.returncode == 0
+    assert len(result.stdout) > 0
+    assert hashlib.sha256(result.stdout).hexdigest() == dict(GOLDEN)[command]
     print("ACCEPTANCE 8 byte-identical census certificates across runs: PASS")

@@ -58,6 +58,16 @@ def test_witness_rational(capsys):
     assert w["residual_zero"] and w["monad_ok"] and w["jacobian_full"]
 
 
+def test_witness_unsampleable_window_exits_2(capsys):
+    # window 0 draws only zero coefficients, so no nonzero kernel point exists
+    code, out, err = run_cli(
+        capsys, "witness", "--n", "4", "--prime", "rational", "--window", "0", "--seed", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: could not sample a nonzero kernel point in 64 attempts\n"
+
+
 def test_family_ok(capsys):
     code, out, _ = run_cli(
         capsys, "family", "--n", "8", "--trials", "5", "--seed", "3"

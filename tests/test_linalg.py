@@ -90,10 +90,24 @@ def test_rank_examples():
 
 
 def test_kernel_oracle_1x2():
+    # free-column basis: 1 at the free column, minus the RREF entry at the pivot
     m = Matrix(QQ, [[1, 1]])
-    assert kernel_basis(m) == [[Fraction(1), Fraction(-1)]]
+    assert kernel_basis(m) == [[Fraction(-1), Fraction(1)]]
     mp = Matrix(GF, [[1, 1]])
-    assert kernel_basis(mp) == [[1, GF.p - 1]]
+    assert kernel_basis(mp) == [[GF.p - 1, 1]]
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_kernel_free_column_unit_pattern(field):
+    # rank 1: pivot column 0, free columns 1, 2, 3
+    m = Matrix(field, [[1, 2, 0, 3], [2, 4, 0, 6]])
+    basis = kernel_basis(m)
+    free = [1, 2, 3]
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        assert [v[c] for c in free] == [field.one() if c == f else field.zero() for c in free]
+        assert all(x == field.zero() for x in matvec(m, v))
+    assert [v[0] for v in basis] == [field.coerce(-2), field.zero(), field.coerce(-3)]
 
 
 def test_kernel_of_identity_empty():

@@ -259,6 +259,32 @@ def test_fiber_system_defining_property(field, n_list):
             assert lhs == vec_skew(residual(SliceData(half, fib)))
 
 
+def split_blocks(m, n):
+    """3 x 2 blocks of a fiber-shaped system: equation rows by column
+    groups (vech Y1, y1) and (vech Y2, y2)."""
+    p, s = n * (n - 1) // 2, n * (n + 1) // 2
+    group1 = list(range(s)) + list(range(2 * s, 2 * s + n))
+    group2 = list(range(s, 2 * s)) + list(range(2 * s + n, 2 * s + 2 * n))
+    blocks = []
+    for k in range(3):
+        rows = m.data[k * p : (k + 1) * p]
+        blocks.append([[[row[c] for c in cols] for row in rows] for cols in (group1, group2)])
+    return blocks
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_fiber_system_block_form(field):
+    # L = [[L1, 0], [0, L2], [L2, L1]]
+    rng = SeededRng(22)
+    for n in range(2, 7):
+        half = sample_half(rng.substream(f"{field.describe()}/n={n}"), field, n)
+        (l1, zero12), (zero21, l2), (l2_again, l1_again) = split_blocks(fiber_system(half), n)
+        zero = [[field.zero()] * (n * (n + 3) // 2) for _ in range(n * (n - 1) // 2)]
+        assert zero12 == zero and zero21 == zero
+        assert l1 != zero and l2 != zero
+        assert l2_again == l2 and l1_again == l1
+
+
 def test_canonical_solutions_satisfy_system():
     for n in (1, 2, 5, 9):
         rng = SeededRng(30 + n)
@@ -381,13 +407,6 @@ def test_random_orthogonal_n1_is_sign():
     assert seen == {Fraction(1), Fraction(-1)}
 
 
-def test_random_orthogonal_without_permutation_is_cayley():
-    # plain Cayley output: determinant 1 rotation, here n=1 forces identity
-    rng = SeededRng(62)
-    g = random_orthogonal(rng, QQ, 1, signed_permutation=False)
-    assert g == Matrix.identity(QQ, 1)
-
-
 def test_random_sl2_determinant_one():
     rng = SeededRng(63)
     for field in (GF, QQ):
@@ -431,6 +450,8 @@ def test_sampling_error_after_exhausted_attempts(monkeypatch):
 @pytest.mark.parametrize("call", [
     "barthslice.barth.random_sl2(SeededRng(0), RationalField(sample_window=0))",
     "barthslice.census._sample_direction(SeededRng(0), RationalField(sample_window=0))",
+    "barthslice.census._nonzero_kernel_point("
+    "SeededRng(0), RationalField(sample_window=0), [[1]], 1)",
 ])
 def test_resampling_loops_give_up(call):
     # Window 0 only ever draws zero.  The call runs in a child process so
@@ -465,6 +486,20 @@ def test_jacobian_shape_and_fiber_block():
         width = n * (n + 3)
         assert j.shape == (rows, 2 * width)
         assert j.submatrix(0, rows, width, 2 * width) == fiber_system(half)
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_jacobian_half_block_is_negated_swapped_fiber_system(field):
+    # the fiber data read as half data gives the half block, negated
+    rng = SeededRng(72)
+    for n in range(2, 7):
+        sub = rng.substream(f"{field.describe()}/n={n}")
+        half = sample_half(sub, field, n)
+        fib = sample_fiber(sub, field, n)
+        rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
+        swapped = HalfData(n, fib.B1, fib.B2, fib.b1, fib.b2)
+        half_block = jacobian(SliceData(half, fib)).submatrix(0, rows, 0, width)
+        assert half_block == -fiber_system(swapped)
 
 
 def test_jacobian_zero_point():
