@@ -237,11 +237,6 @@ def vec_half(h: HalfData) -> list:
     return _vec_pair(h.n, h.A1, h.A2, h.a1, h.a2)
 
 
-def vec_slice(x: SliceData) -> list:
-    """Full coordinates: half block first, then fiber block."""
-    return vec_half(x.half) + vec_fiber(x.fiber)
-
-
 def vec_skew(r: SliceResidual) -> list:
     """Equation values: strict upper triangles of R1, R2, R3, row-major."""
     n = r.R1.rows
@@ -262,16 +257,17 @@ def _symmetric_from_vech(field: Field, n: int, vals: list) -> Matrix:
 
 
 def _unvec_pair(field: Field, n: int, v: list, name: str) -> tuple:
-    # inverse of _vec_pair: (M1, M2, v1, v2) with entries coerced into `field`
+    # inverse of _vec_pair: (M1, M2, v1, v2); the matrix entries are coerced
+    # here, the vectors by the __post_init__ of HalfData/FiberData
     s = n * (n + 1) // 2
     if len(v) != n * (n + 3):
         raise ShapeError(f"{name} vector has length {len(v)}, expected {n * (n + 3)}")
-    v = [field.coerce(x) for x in v]
+    vech = [field.coerce(x) for x in v[: 2 * s]]
     return (
-        _symmetric_from_vech(field, n, v[:s]),
-        _symmetric_from_vech(field, n, v[s : 2 * s]),
-        tuple(v[2 * s : 2 * s + n]),
-        tuple(v[2 * s + n :]),
+        _symmetric_from_vech(field, n, vech[:s]),
+        _symmetric_from_vech(field, n, vech[s:]),
+        v[2 * s : 2 * s + n],
+        v[2 * s + n :],
     )
 
 

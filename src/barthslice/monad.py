@@ -9,27 +9,28 @@ C1, C2, C3, C4 (n columns each):
     [  0    0   b1^T b2^T]
 
 Pairing the blocks through the symplectic form q = diag(J_2n, J_2) gives the
-Gram blocks M_ij = C_i^T q C_j.  Skew-symmetry of gamma^T q gamma, i.e.
-M_ii = 0 and M_ij + M_ji = 0, reproduces the slice equations exactly: the
+Gram blocks M_ij = C_i^T q C_j of G = gamma^T q gamma.  The monad condition
+M_ii = 0 and M_ij + M_ji = 0 reproduces the slice equations exactly: the
 diagonal blocks M_33, M_44 are the first two residuals and M_34 + M_43 the
 third, while the remaining conditions hold identically by symmetry of the
 A and B blocks.
 
 The module also checks the two genericity conditions used to certify that a
 point yields an honest monad: pointwise injectivity of the linear map
-v -> gamma(v) on a sample of fibre directions, and the rank condition on the
-vector pencil (a1 + t a2, b1 + t b2) for all t, including t = infinity.
+alpha(v) = gamma (v (x) I_n) on a sample of fibre directions, and the rank
+condition on the vector pencil (a1 + t a2, b1 + t b2) for all t, including
+t = infinity.  All three checks are linear algebra on gamma and on the
+wedges a ^ b of the slice equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .barth import SliceData
+from .barth import SliceData, skew_index, wedge
 from .errors import DomainError, InvariantError, ShapeError
 from .fields import Field
-from .linalg import Matrix, rank
-from .poly import Poly, poly_gcd
+from .linalg import Matrix, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,6 @@ class GammaMatrix:
     @property
     def field(self) -> Field:
         return self.body.field
-
-    def col_block(self, j: int) -> Matrix:
-        """The j-th column block C_{j+1}, shape (2n+2) x n, for j in 0..3."""
-        if not 0 <= j < 4:
-            raise DomainError("column block index must be in 0..3")
-        return self.body.submatrix(0, self.body.rows, j * self.n, (j + 1) * self.n)
 
 
 def build_gamma(x: SliceData) -> GammaMatrix:
@@ -89,65 +84,40 @@ def symplectic_form(field: Field, n: int) -> Matrix:
     return Matrix._raw(field, data, size)
 
 
-@dataclass(frozen=True)
-class GramBlocks:
-    """The 4 x 4 grid of n x n blocks of gamma^T q gamma."""
-
-    n: int
-    blocks: tuple
-
-    def block(self, i: int, j: int) -> Matrix:
-        return self.blocks[i][j]
-
-
-def gram_blocks(gamma: GammaMatrix) -> GramBlocks:
-    """Compute M_ij = C_i^T q C_j for all i, j.
-
-    The full Gram matrix gamma^T q gamma is skew-symmetric because q is;
-    M_ij^T = -M_ji is asserted rather than assumed.
-    """
-    n, field = gamma.n, gamma.field
-    q = symplectic_form(field, n)
-    gram = gamma.body.T @ q @ gamma.body
-    blocks = tuple(
-        tuple(gram.submatrix(i * n, (i + 1) * n, j * n, (j + 1) * n) for j in range(4))
-        for i in range(4)
-    )
-    for i in range(4):
-        for j in range(4):
-            if blocks[i][j].T != -blocks[j][i]:
-                raise InvariantError("Gram matrix is not skew-symmetric")
-    return GramBlocks(n, blocks)
-
-
 def monad_condition(gamma: GammaMatrix) -> bool:
     """Whether the Gram blocks vanish in pairs: M_ii = 0, M_ij + M_ji = 0.
 
-    Equivalent to the residual of the underlying slice point being zero;
-    the equivalence is exercised independently by the test suite.
+    G = gamma^T q gamma is skew because q is; this is asserted rather than
+    assumed.  For skew G, M_ji = -M_ij^T and each M_ii is skew, so the
+    condition holds iff every block M_ij with i <= j is symmetric
+    (characteristic != 2), which needs comparisons only.  It is equivalent
+    to the residual of the underlying slice point being zero; the
+    equivalence is exercised independently by the test suite.
     """
-    g = gram_blocks(gamma)
-    for i in range(4):
-        if not g.block(i, i).is_zero():
-            return False
-        for j in range(i + 1, 4):
-            if not (g.block(i, j) + g.block(j, i)).is_zero():
-                return False
+    n = gamma.n
+    g = gamma.body.T @ symplectic_form(gamma.field, n) @ gamma.body
+    if g.T != -g:
+        raise InvariantError("Gram matrix is not skew-symmetric")
+    d = g.data
+    for bi in range(0, 4 * n, n):
+        for bj in range(bi, 4 * n, n):
+            for k, l in skew_index(n):
+                if d[bi + k][bj + l] != d[bi + l][bj + k]:
+                    return False
     return True
 
 
 def evaluate_alpha(gamma: GammaMatrix, v) -> Matrix:
-    """The (2n+2) x n matrix sum(v_j C_{j+1}) at a nonzero direction v."""
-    field = gamma.field
+    """The (2n+2) x n matrix sum(v_j C_{j+1}) = gamma (v (x) I_n) at a nonzero v."""
+    field, n = gamma.field, gamma.n
     if len(v) != 4:
         raise ShapeError(f"direction vector has length {len(v)}, expected 4")
+    z = field.zero()
     coeffs = [field.coerce(c) for c in v]
-    if all(c == field.zero() for c in coeffs):
+    if all(c == z for c in coeffs):
         raise DomainError("direction vector must be nonzero")
-    out = gamma.col_block(0).scale(coeffs[0])
-    for j in range(1, 4):
-        out = out + gamma.col_block(j).scale(coeffs[j])
-    return out
+    kron = [[c if col == k else z for col in range(n)] for c in coeffs for k in range(n)]
+    return gamma.body @ Matrix._raw(field, kron, n)
 
 
 def point_rank_check(gamma: GammaMatrix, v) -> bool:
@@ -178,39 +148,42 @@ class PencilReport:
 def pencil_check(field: Field, a1, a2, b1, b2) -> PencilReport:
     """Evaluate the pencil rank condition for four length-n vectors.
 
-    Each 2 x 2 minor of the pencil is a polynomial of degree <= 2 in t;
-    rank < 2 at some finite t iff all minors share a root, i.e. iff their
-    monic gcd has positive degree (or all minors vanish identically).  For
-    n < 2 there are no minors and finite_ok is False by convention.
+    The (i, j) minor of [a1 + t a2 | b1 + t b2] is c0 + c1 t + c2 t^2 with
+    c0, c1, c2 the (i, j) entries of a1^b1, a1^b2 + a2^b1 and a2^b2, the
+    wedges of the slice equations.  Stack them as the rows of the
+    n(n-1)/2 x 3 matrix C.  The minors share a root r over the algebraic
+    closure iff (1, r, r^2) lies in ker C, which is defined over the field:
+
+    * rank C = 3: the kernel is zero, so finite_ok holds;
+    * rank C = 2: the kernel is spanned by one vector w, and it contains
+      some (1, r, r^2) iff w0 != 0 and w1^2 = w0 w2 (then r = w1 / w0);
+    * rank C = 1: every minor is a multiple of one nonzero polynomial,
+      which has a root iff it is not constant, i.e. iff column 1 or 2 of
+      C is nonzero;
+    * rank C = 0: every minor vanishes identically; finite_ok is False,
+      which includes n < 2, where there are no minors, by convention.
+
+    infinity_ok holds iff a2 and b2 are independent, i.e. a2^b2 != 0.
     """
     n = len(a1)
     for name, vec in (("a2", a2), ("b1", b1), ("b2", b2)):
         if len(vec) != n:
             raise ShapeError(f"{name} has length {len(vec)}, expected {n}")
-    a1 = [field.coerce(x) for x in a1]
-    a2 = [field.coerce(x) for x in a2]
-    b1 = [field.coerce(x) for x in b1]
-    b2 = [field.coerce(x) for x in b2]
-
-    # columns of the pencil as vectors of degree-1 polynomials
-    acol = [Poly(field, (a1[i], a2[i])) for i in range(n)]
-    bcol = [Poly(field, (b1[i], b2[i])) for i in range(n)]
-    minors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = acol[i] * bcol[j] - acol[j] * bcol[i]
-            if not m.is_zero():
-                minors.append(m)
-    if not minors:
-        finite_ok = False
+    w11 = wedge(field, a1, b1).data
+    w12 = (wedge(field, a1, b2) + wedge(field, a2, b1)).data
+    w22 = wedge(field, a2, b2).data
+    c = Matrix._raw(field, [[w11[i][j], w12[i][j], w22[i][j]] for i, j in skew_index(n)], 3)
+    z = field.zero()
+    r = rank(c)
+    if r == 3:
+        finite_ok = True
+    elif r == 2:
+        (w,) = kernel_basis(c)
+        finite_ok = w[0] == z or field.mul(w[1], w[1]) != field.mul(w[0], w[2])
+    elif r == 1:
+        finite_ok = all(row[1] == z and row[2] == z for row in c.data)
     else:
-        g = minors[0]
-        for m in minors[1:]:
-            g = poly_gcd(g, m)
-            if g.degree() == 0:
-                break
-        finite_ok = g.degree() == 0
-
-    tail = Matrix(field, [[a2[i], b2[i]] for i in range(n)], 2)
-    infinity_ok = rank(tail) == 2
+        finite_ok = False
+    # column 2 of C holds the entries of a2^b2
+    infinity_ok = any(row[2] != z for row in c.data)
     return PencilReport(finite_ok, infinity_ok)

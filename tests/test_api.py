@@ -12,13 +12,11 @@ PUBLIC_API = [
     "DomainError",
     "FiberData",
     "GammaMatrix",
-    "GramBlocks",
     "GroupElement",
     "HalfData",
     "InvariantError",
     "Matrix",
     "PencilReport",
-    "Poly",
     "PrimeField",
     "RationalField",
     "SamplingError",
@@ -42,7 +40,6 @@ PUBLIC_API = [
     "fiber_census",
     "fiber_from_vec",
     "fiber_system",
-    "gram_blocks",
     "half_from_vec",
     "inverse",
     "jacobian",
@@ -51,7 +48,6 @@ PUBLIC_API = [
     "monad_condition",
     "pencil_check",
     "point_rank_check",
-    "poly_gcd",
     "random_group_element",
     "random_orthogonal",
     "random_sl2",
@@ -67,7 +63,6 @@ PUBLIC_API = [
     "vec_fiber",
     "vec_half",
     "vec_skew",
-    "vec_slice",
     "wedge",
     "witness_certificate",
     "witness_pipeline",

@@ -1,7 +1,8 @@
 """Golden certificates: sha256 of the CLI's standard output for fixed seeds.
 
 Together the commands cover every backend: int64 GF(2^31 - 1), the generic
-path for a prime past 2^31, and the fraction-free rationals.  A change that
+path for a prime past 2^31, and the fraction-free rationals; the witness
+runs once over QQ and once over GF(2^31 - 1).  A change that
 alters a single stdout byte (certificate layout, draw order, kernel basis)
 fails here.
 """
@@ -21,6 +22,8 @@ GOLDEN = [
      "70858ce1c5ed2095b4e6254259182e3e657bea07976df7819587913a732db18c"),
     ("witness --n-min 4 --n-max 7 --prime rational --window 5 --seed 1",
      "60c80eab90084e122afa41a365a8aa5678f3c13f8f60c0aed7baf1eeccedd77c"),
+    ("witness --n-min 4 --n-max 7 --seed 1",
+     "fecb53964778d02e578a3ee71d8401653508b53a94898ccdbe255141754ee2a8"),
     ("selftest --seed 0",
      "388edb02ca189ae65c4bf97e6653f5f8462719c6ee2c9fc57bc75b1e692e79f0"),
     ("census --n-min 4 --n-max 6 --trials 5 --prime 2305843009213693951 --seed 3",

@@ -11,7 +11,6 @@ from barthslice.monad import (
     GammaMatrix,
     build_gamma,
     evaluate_alpha,
-    gram_blocks,
     monad_condition,
     pencil_check,
     point_rank_check,
@@ -87,15 +86,19 @@ def test_gamma_matrix_validates_shape():
         GammaMatrix(2, Matrix.zeros(QQ, 5, 8))
 
 
-def test_col_block_bounds():
-    g = build_gamma(zero_slice(QQ, 2))
-    assert g.col_block(0).shape == (6, 2)
-    with pytest.raises(DomainError):
-        g.col_block(4)
-
-
 # ---------------------------------------------------------------------------
 # symplectic form and Gram blocks
+
+
+def gram_blocks(gamma):
+    """Block reader for gamma^T q gamma: block(i, j) is M_ij = C_i^T q C_j."""
+    n = gamma.n
+    g = gamma.body.T @ symplectic_form(gamma.field, n) @ gamma.body
+
+    def block(i, j):
+        return g.submatrix(i * n, (i + 1) * n, j * n, (j + 1) * n)
+
+    return block
 
 
 def test_symplectic_form_structure():
@@ -109,9 +112,9 @@ def test_gram_fixed_blocks():
     x = random_slice(rng, GF, 3)
     g = gram_blocks(build_gamma(x))
     eye = Matrix.identity(GF, 3)
-    assert g.block(0, 0).is_zero() and g.block(1, 1).is_zero()
-    assert g.block(0, 1) == eye
-    assert g.block(1, 0) == -eye
+    assert g(0, 0).is_zero() and g(1, 1).is_zero()
+    assert g(0, 1) == eye
+    assert g(1, 0) == -eye
 
 
 def test_gram_diagonal_blocks_are_residuals():
@@ -119,16 +122,16 @@ def test_gram_diagonal_blocks_are_residuals():
     x = random_slice(rng, QQ, 3)
     g = gram_blocks(build_gamma(x))
     r = residual(x)
-    assert g.block(2, 2) == r.R1
-    assert g.block(3, 3) == r.R2
-    assert g.block(2, 3) + g.block(3, 2) == r.R3
+    assert g(2, 2) == r.R1
+    assert g(3, 3) == r.R2
+    assert g(2, 3) + g(3, 2) == r.R3
 
 
 def test_gram_zero_gamma():
     g = gram_blocks(GammaMatrix(2, Matrix.zeros(QQ, 6, 8)))
     for i in range(4):
         for j in range(4):
-            assert g.block(i, j).is_zero()
+            assert g(i, j).is_zero()
 
 
 def test_gram_skew_pairing():
@@ -137,7 +140,7 @@ def test_gram_skew_pairing():
     g = gram_blocks(build_gamma(x))
     for i in range(4):
         for j in range(4):
-            assert g.block(i, j).T == -g.block(j, i)
+            assert g(i, j).T == -g(j, i)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +186,7 @@ def test_evaluate_alpha_e1_has_rank_n():
     x = random_slice(rng, GF, 3)
     gamma = build_gamma(x)
     alpha = evaluate_alpha(gamma, [1, 0, 0, 0])
-    assert alpha == gamma.col_block(0)
+    assert alpha == gamma.body.submatrix(0, 8, 0, 3)
     assert point_rank_check(gamma, [1, 0, 0, 0])  # contains -I
     assert rank(alpha) == 3
 
@@ -195,6 +198,23 @@ def test_evaluate_alpha_linearity():
     w = [1, 0, 4, 9]
     vw = [GF.add(a, b) for a, b in zip(v, w)]
     assert evaluate_alpha(gamma, vw) == evaluate_alpha(gamma, v) + evaluate_alpha(gamma, w)
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_evaluate_alpha_is_sum_of_column_blocks(field):
+    # reference: alpha(v) = sum_j v_j C_{j+1}, each block read with submatrix
+    rng = SeededRng(90)
+    n = 4
+    gamma = build_gamma(random_slice(rng, field, n))
+    body = gamma.body
+    for _ in range(5):
+        v = [field.sample(rng) for _ in range(4)]
+        if all(c == 0 for c in v):
+            continue
+        expected = Matrix.zeros(field, 2 * n + 2, n)
+        for j in range(4):
+            expected = expected + body.submatrix(0, 2 * n + 2, j * n, (j + 1) * n).scale(v[j])
+        assert evaluate_alpha(gamma, v) == expected
 
 
 def test_evaluate_alpha_rejects_zero_direction():
@@ -241,6 +261,55 @@ def test_pencil_minor_with_finite_roots():
     rep = pencil_check(QQ, (1, 0), (0, 1), (0, 1), (1, 0))
     assert not rep.finite_ok
     assert rep.infinity_ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pencil_planted_common_root(field, n):
+    # b1 + r b2 = c (a1 + r a2): the pencil drops rank at t = r
+    rng = SeededRng(91).substream(f"{field.describe()}/{n}")
+    for _ in range(5):
+        a1, a2, b2 = ([field.sample(rng) for _ in range(n)] for _ in range(3))
+        r, c = field.sample(rng), field.sample(rng)
+        b1 = [
+            field.sub(field.mul(c, field.add(x, field.mul(r, y))), field.mul(r, z))
+            for x, y, z in zip(a1, a2, b2)
+        ]
+        rep = pencil_check(field, a1, a2, b1, b2)
+        assert not rep.finite_ok
+        assert rep.infinity_ok
+        assert pencil_check(field, a1, a2, [field.sample(rng) for _ in range(n)], b2).ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_pencil_minor_with_roots_only_over_closure(field):
+    # single minor 1 + t^2: no root in QQ or in GF(2^31 - 1) (p = 3 mod 4)
+    rep = pencil_check(field, (1, 0), (0, 1), (0, 1), (-1, 0))
+    assert not rep.finite_ok
+    assert rep.infinity_ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_pencil_minors_span_t_and_t2(field):
+    # minors t, t^2, 0: common root t = 0
+    rep = pencil_check(field, (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert not rep.finite_ok
+    assert rep.infinity_ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_pencil_minors_span_1_and_t(field):
+    # minors 1, t, 0: no common root at any finite t
+    rep = pencil_check(field, (1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert rep.finite_ok
+    assert not rep.infinity_ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_pencil_all_minors_zero(field):
+    rep = pencil_check(field, (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert not rep.finite_ok
+    assert not rep.infinity_ok
 
 
 def test_pencil_generic_passes():

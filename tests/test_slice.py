@@ -26,7 +26,6 @@ from barthslice.barth import (
     vec_fiber,
     vec_half,
     vec_skew,
-    vec_slice,
     wedge,
 )
 from barthslice.census import sample_half
@@ -192,10 +191,23 @@ def test_vec_half_and_slice_ordering():
     )
     assert vec_half(h) == [Fraction(k) for k in range(1, 11)]
     assert half_from_vec(QQ, 2, vec_half(h)) == h
-    f = zero_fiber(QQ, 2)
-    x = SliceData(h, f)
-    assert vec_slice(x) == vec_half(h) + vec_fiber(f)
-    assert len(vec_slice(x)) == 2 * 2 * (2 + 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_from_vec_coerces_each_coordinate_once(n):
+    class CountingField(PrimeField):
+        calls = 0
+
+        def coerce(self, x):
+            CountingField.calls += 1
+            return super().coerce(x)
+
+    field = CountingField()
+    v = list(range(n * (n + 3)))
+    for from_vec in (lambda: half_from_vec(field, n, v), lambda: fiber_from_vec(field, n, v)):
+        CountingField.calls = 0
+        from_vec()
+        assert CountingField.calls == n * (n + 3)
 
 
 def test_vec_skew_ordering():
@@ -543,4 +555,4 @@ def test_jacobian_directional_identity(field):
                 vec_skew(residual(h)),
             )
         ]
-        assert lhs == matvec(jacobian(x), vec_slice(h))
+        assert lhs == matvec(jacobian(x), vec_half(h.half) + vec_fiber(h.fiber))
