@@ -40,6 +40,12 @@ CENSUS_PASS_NUM = 99
 CENSUS_PASS_DEN = 100
 
 
+def _require_count(value, what: str):
+    """Reject anything but a plain int >= 1 (bool is an int subclass)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DimensionRecord:
     """Dimension bookkeeping for one n.
@@ -67,8 +73,7 @@ class DimensionRecord:
 
 def dimension_formulas(n: int) -> DimensionRecord:
     """Closed-form dimension counts for charge n, with consistency asserted."""
-    if n < 1:
-        raise DomainError("charge n must be >= 1")
+    _require_count(n, "charge n")
     rec = DimensionRecord(
         n=n,
         moduli_dim=8 * n - 3,
@@ -93,8 +98,7 @@ def dimension_formulas(n: int) -> DimensionRecord:
 
 def expected_kernel_dim(n: int) -> int:
     """Expected fiber dimension at a generic half datum."""
-    if n < 1:
-        raise DomainError("charge n must be >= 1")
+    _require_count(n, "charge n")
     return n * (9 - n) // 2 if n <= 8 else 4
 
 
@@ -168,17 +172,11 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
-class _StageClock:
-    """Collects per-stage wall times; reports zeros unless measuring."""
-
-    def __init__(self, measure: bool):
-        self.measure = measure
-        self.t0 = time.perf_counter()
-
-    def total_ms(self) -> dict:
-        if not self.measure:
-            return {"total": 0}
-        return {"total": int(round((time.perf_counter() - self.t0) * 1000))}
+def _timings_ms(start: float, measure: bool) -> dict:
+    """One wall-clock reading since `start`; zero unless measuring."""
+    if not measure:
+        return {"total": 0}
+    return {"total": int(round((time.perf_counter() - start) * 1000))}
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +202,12 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
     additionally verifies that the kernel equals the span of the four
     canonical solutions.
     """
-    if n < 1:
-        raise DomainError("charge n must be >= 1")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _require_count(n, "charge n")
+    _require_count(trials, "trials")
     if check_family and n < 8:
         raise DomainError("family verification applies to n >= 8 only")
 
-    clock = _StageClock(measure_timings)
+    start = time.perf_counter()
     hist: dict[int, int] = {}
     family_ok = True if check_family else None
     for trial in range(trials):
@@ -232,10 +228,10 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
         fiber_dims=hist,
         family_check=family_ok,
         witness=None,
-        timings_ms=clock.total_ms(),
+        timings_ms=_timings_ms(start, measure_timings),
     )
     if measure_timings:
-        _log(f"census n={n}: {clock.total_ms()['total']} ms over {trials} trials")
+        _log(f"census n={n}: {cert.timings_ms['total']} ms over {trials} trials")
     return cert
 
 
@@ -302,10 +298,8 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
     directions v, and the Jacobian of the slice equations at the point has
     full row rank 3n(n-1)/2.
     """
-    if n < 1:
-        raise DomainError("charge n must be >= 1")
-    if points < 1:
-        raise DomainError("points must be >= 1")
+    _require_count(n, "charge n")
+    _require_count(points, "points")
     if not 4 <= n <= 7:
         warnings.warn(
             f"witness certification is calibrated for 4 <= n <= 7, got n={n}; "
@@ -354,7 +348,7 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
 
 def witness_certificate(n: int, rng: SeededRng, field: Field, *,
                         points: int = 32, measure_timings: bool = False) -> Certificate:
-    clock = _StageClock(measure_timings)
+    start = time.perf_counter()
     report = witness_pipeline(n, rng, field, points=points)
     cert = Certificate(
         version=CERTIFICATE_VERSION,
@@ -365,8 +359,8 @@ def witness_certificate(n: int, rng: SeededRng, field: Field, *,
         fiber_dims={report.fiber_dim: 1},
         family_check=None,
         witness=report,
-        timings_ms=clock.total_ms(),
+        timings_ms=_timings_ms(start, measure_timings),
     )
     if measure_timings:
-        _log(f"witness n={n}: {clock.total_ms()['total']} ms")
+        _log(f"witness n={n}: {cert.timings_ms['total']} ms")
     return cert

@@ -54,14 +54,20 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The finite field GF(p), elements stored as canonical residues."""
+    """The finite field GF(p), elements stored as canonical residues.
+
+    Primes below 2**20 are rejected: the random genericity checks (census
+    trials, witness directions) hit special points too often there.
+    ``allow_small=True`` accepts them anyway, for exact arithmetic that
+    draws nothing at random.
+    """
 
     def __init__(self, p: int = DEFAULT_PRIME, *, allow_small: bool = False):
         if not isinstance(p, int) or not is_prime(p):
             raise DomainError(f"modulus {p!r} is not prime")
         if p < SMALL_PRIME_FLOOR and not allow_small:
             raise DomainError(
-                f"prime {p} is below 2**20; pass allow_small=True to use it anyway"
+                f"prime {p} is below 2**20, where random genericity checks are unreliable"
             )
         self.p = p
 
@@ -127,8 +133,9 @@ class RationalField:
     characteristic = 0
 
     def __init__(self, sample_window: int = 100):
-        if sample_window < 0:
-            raise DomainError("sample window must be nonnegative")
+        w = sample_window
+        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            raise DomainError(f"sample window must be a nonnegative integer, got {w!r}")
         self.sample_window = sample_window
 
     def zero(self) -> Fraction:

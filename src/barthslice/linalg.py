@@ -1,14 +1,16 @@
 """Dense exact matrices over an active coefficient field.
 
 Storage is row-major (list of row lists) with entries in the field's
-canonical form.  Elimination over GF(p) with p < 2**31 is delegated to a
-vectorized int64 backend; every intermediate there stays strictly below
-2**63, so the fast path is exact.  The rational path is fraction-free:
-rows are scaled to integers (row scaling leaves the row space, and with it
-the reduced echelon form, untouched), eliminated by integer
-cross-multiplication, and divided by their content after each update, so
-entries stay minor-sized instead of compounding through reduced-fraction
-arithmetic.
+canonical form.  There are two eliminations:
+
+* mod p on numpy, for every prime: int64 arrays for p < 2**31, where every
+  intermediate stays strictly below 2**63, and arrays of Python ints
+  (``dtype=object``) for larger p, where every step is exact as it stands;
+* fraction-free over QQ: rows are scaled to integers (row scaling leaves
+  the row space, and with it the reduced echelon form, untouched),
+  eliminated by integer cross-multiplication, and divided by their content
+  after each update, so entries stay minor-sized instead of compounding
+  through reduced-fraction arithmetic.
 
 Pivot rules are fixed for determinism: first nonzero entry scanning
 top-to-bottom over GF(p), largest-height entry over the rationals.  The
@@ -28,6 +30,7 @@ from .errors import DomainError, ShapeError
 from .fields import DEFAULT_PRIME, Field, PrimeField, RationalField
 
 # int64 elimination needs f * entry and k-term split products below 2**63.
+# Past these limits numpy holds Python ints (dtype=object), exact for any p.
 _FAST_PRIME_LIMIT = 1 << 31
 _FAST_INNER_LIMIT = 1 << 15
 
@@ -80,20 +83,10 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, key) -> object:
-        i, j = key
-        return self.data[i][j]
-
-    def copy(self) -> "Matrix":
-        return Matrix._raw(self.field, [row[:] for row in self.data], self.cols)
-
-    def transpose(self) -> "Matrix":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix._raw(self.field, data, self.rows)
-
     @property
     def T(self) -> "Matrix":
-        return self.transpose()
+        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        return Matrix._raw(self.field, data, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -111,9 +104,6 @@ class Matrix:
             raise ShapeError("operands live over different fields")
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -136,11 +126,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
         return Matrix._raw(self.field, [[neg(a) for a in row] for row in self.data], self.cols)
-
-    def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix._raw(self.field, [[mul(c, a) for a in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -236,7 +221,7 @@ def matvec(m: Matrix, v: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# GF(p) fast backend (int64, exact for p < 2**31)
+# GF(p) backend (numpy: int64 for p < 2**31, Python ints past it)
 
 
 def _has_fast_path(field: Field) -> bool:
@@ -244,12 +229,12 @@ def _has_fast_path(field: Field) -> bool:
 
 
 def _to_np(m: Matrix) -> np.ndarray:
-    return np.array(m.data, dtype=np.int64).reshape(m.rows, m.cols)
+    dtype = np.int64 if _has_fast_path(m.field) else object
+    return np.array(m.data, dtype=dtype).reshape(m.rows, m.cols)
 
 
 def _from_np(field: Field, arr: np.ndarray) -> Matrix:
-    data = [[int(x) for x in row] for row in arr]
-    return Matrix._raw(field, data, arr.shape[1])
+    return Matrix._raw(field, arr.tolist(), arr.shape[1])
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -262,7 +247,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.array(a, dtype=np.int64) % p
+    a = a % p
     m, n = a.shape
     pivots: list[int] = []
     r = 0
@@ -281,38 +266,6 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         col[r] = 0
         a -= np.outer(col, a[r])
         a %= p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-# ---------------------------------------------------------------------------
-# Generic elimination (primes past the int64 range)
-
-
-def _rref_generic(m: Matrix) -> tuple[list[list], list[int]]:
-    field = m.field
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    mul, sub, inv = field.mul, field.sub, field.inv
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), -1)
-        if pr < 0:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        piv_inv = inv(a[r][c])
-        prow = a[r] = [mul(piv_inv, x) for x in a[r]]
-        for i in range(rows):
-            if i == r:
-                continue
-            f = a[i][c]
-            if f != 0:
-                a[i] = [sub(x, mul(f, y)) for x, y in zip(a[i], prow)]
         pivots.append(c)
         r += 1
     return a, pivots
@@ -389,14 +342,11 @@ def _rref_rational(m: Matrix) -> tuple[list[list], list[int]]:
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns (both canonical)."""
     if m.rows == 0 or m.cols == 0:
-        return m.copy(), []
-    if _has_fast_path(m.field):
+        return Matrix._raw(m.field, [row[:] for row in m.data], m.cols), []
+    if isinstance(m.field, PrimeField):
         arr, pivots = _rref_mod(_to_np(m), m.field.p)
         return _from_np(m.field, arr), pivots
-    if isinstance(m.field, RationalField):
-        data, pivots = _rref_rational(m)
-    else:
-        data, pivots = _rref_generic(m)
+    data, pivots = _rref_rational(m)
     return Matrix._raw(m.field, data, m.cols), pivots
 
 

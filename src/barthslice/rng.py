@@ -30,7 +30,7 @@ class SeededRng:
     algorithm_id = ALGORITHM_ID
 
     def __init__(self, seed: int, *, _path: str = ""):
-        if not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
             raise DomainError("seed must be an integer in [0, 2**64)")
         self.seed = seed
         self.path = _path

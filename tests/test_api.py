@@ -1,6 +1,7 @@
 """The public API, pinned: adding or removing a name shows up as an edit here."""
 
 import barthslice
+from barthslice.linalg import Matrix
 
 PUBLIC_API = [
     "ALGORITHM_ID",
@@ -68,6 +69,31 @@ PUBLIC_API = [
     "witness_pipeline",
 ]
 
+# Matrix's public attributes and operator methods: a test-only method added
+# back shows up as an edit here
+MATRIX_API = [
+    "T",
+    "__add__",
+    "__eq__",
+    "__init__",
+    "__matmul__",
+    "__neg__",
+    "__repr__",
+    "__sub__",
+    "cols",
+    "data",
+    "field",
+    "hstack",
+    "identity",
+    "is_skew_symmetric",
+    "is_symmetric",
+    "is_zero",
+    "rows",
+    "shape",
+    "submatrix",
+    "zeros",
+]
+
 
 def test_public_api_is_pinned():
     assert sorted(barthslice.__all__) == PUBLIC_API
@@ -76,3 +102,11 @@ def test_public_api_is_pinned():
 def test_every_public_name_resolves():
     for name in barthslice.__all__:
         assert hasattr(barthslice, name), name
+
+
+def test_matrix_api_is_pinned():
+    names = [
+        name for name in vars(Matrix)
+        if not name.startswith("_") or name.startswith("__") and callable(getattr(Matrix, name))
+    ]
+    assert sorted(names) == MATRIX_API

@@ -1,23 +1,27 @@
-"""Differential tests: the three elimination backends must agree.
+"""Differential tests: the two eliminations and their numpy dtypes must agree.
 
-* int64 GF(p) (``_rref_mod``) and the generic GF(p) loop (``_rref_generic``)
-  give the same reduced echelon form and pivots over GF(2^31 - 1);
+* ``_rref_mod`` on int64 and on Python ints (``dtype=object``, the generic
+  path every prime past 2^31 takes) gives the same reduced echelon form and
+  pivots over GF(2^31 - 1); the object run is exact, so it catches int64
+  overflow;
 * ranks agree between GF(2^31 - 1), GF(2^61 - 1) and QQ;
-* the QQ reduced echelon form and kernel basis, reduced mod p, equal the
-  GF(p) ones (which needs the ranks to agree, as asserted above).
+* the fraction-free QQ reduced echelon form and kernel basis, reduced mod p,
+  equal the GF(p) ones for p = 2^31 - 1 (int64) and p = 2^61 - 1 (object),
+  which needs the ranks to agree, as asserted above.
 
 Inputs are small-entry integer matrices: random ones, rank-deficient
-products of random r x k and k x c factors, and fiber systems for n = 4..6.
+products of random r x k and k x c factors, and fiber systems for n = 4..7.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from barthslice.barth import fiber_system
 from barthslice.census import sample_half
 from barthslice.fields import PrimeField, RationalField
-from barthslice.linalg import Matrix, _rref_generic, _rref_mod, _to_np, kernel_basis, rank, rref
+from barthslice.linalg import Matrix, _rref_mod, _to_np, kernel_basis, rank, rref
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -56,7 +60,7 @@ LOW_RANK = {
 }
 FIBER = {
     f"fiber-n{n}": fiber_system(sample_half(_RNG.substream(f"fiber/{n}"), QQ, n))
-    for n in (4, 5, 6)
+    for n in (4, 5, 6, 7)
 }
 CASES = [*RANDOM.items(), *((label, m) for label, (m, _) in LOW_RANK.items()), *FIBER.items()]
 
@@ -64,10 +68,13 @@ CASES = [*RANDOM.items(), *((label, m) for label, (m, _) in LOW_RANK.items()), *
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
 def test_int64_and_generic_rref_agree(label, m):
     gf = _over(GF31, m)
-    arr, pivots_fast = _rref_mod(_to_np(gf), P31)
-    data, pivots_generic = _rref_generic(gf)
-    assert pivots_fast == pivots_generic
-    assert arr.tolist() == data
+    fast = _to_np(gf)
+    assert fast.dtype == np.int64
+    arr, pivots_fast = _rref_mod(fast, P31)
+    exact, pivots_exact = _rref_mod(np.array(gf.data, dtype=object).reshape(gf.shape), P31)
+    assert exact.dtype == object
+    assert pivots_fast == pivots_exact
+    assert arr.tolist() == exact.tolist()
 
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
@@ -79,13 +86,14 @@ def test_ranks_agree_across_fields(label, m):
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
 def test_rational_results_reduce_to_modular_ones(label, m):
-    gf = _over(GF31, m)
     red_qq, pivots_qq = rref(m)
-    red_gf, pivots_gf = rref(gf)
-    assert pivots_qq == pivots_gf
-    assert [[_mod(x, P31) for x in row] for row in red_qq.data] == red_gf.data
-    kernel_qq = [[_mod(x, P31) for x in vec] for vec in kernel_basis(m)]
-    assert kernel_qq == kernel_basis(gf)
+    kernel = kernel_basis(m)
+    for field in (GF31, GF61):
+        gf, p = _over(field, m), field.p
+        red_gf, pivots_gf = rref(gf)
+        assert pivots_qq == pivots_gf
+        assert [[_mod(x, p) for x in row] for row in red_qq.data] == red_gf.data
+        assert [[_mod(x, p) for x in vec] for vec in kernel] == kernel_basis(gf)
 
 
 def test_low_rank_products_have_the_inner_rank():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from barthslice import census as census_module
 from barthslice.barth import canonical_fiber_solutions, fiber_system, vec_fiber
 from barthslice.census import (
     CERTIFICATE_VERSION,
@@ -52,8 +53,11 @@ def test_dimension_identities_all_n():
 
 
 def test_dimension_formulas_rejects_n0():
-    with pytest.raises(DomainError):
-        dimension_formulas(0)
+    for bad in (0, True, 4.0):
+        with pytest.raises(DomainError):
+            dimension_formulas(bad)
+        with pytest.raises(DomainError):
+            expected_kernel_dim(bad)
 
 
 def test_expected_kernel_dim_values():
@@ -129,6 +133,10 @@ def test_census_validates_inputs():
         fiber_census(4, 0, SeededRng(1), GF)
     with pytest.raises(DomainError):
         fiber_census(5, 10, SeededRng(1), GF, check_family=True)
+    # bool is an int subclass: True would certify n = 1 as "n": true
+    for n, trials in ((True, 1), (4, True), (4.0, 1), (4, 1.5)):
+        with pytest.raises(DomainError):
+            fiber_census(n, trials, SeededRng(1), GF)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +226,9 @@ def test_witness_validates_inputs():
         witness_pipeline(0, SeededRng(1), GF)
     with pytest.raises(DomainError):
         witness_pipeline(4, SeededRng(1), GF, points=0)
+    for n, points in ((True, 32), (4, True), (4, 1.5)):
+        with pytest.raises(DomainError):
+            witness_pipeline(n, SeededRng(1), GF, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +250,21 @@ def test_certificate_fiber_dims_keys_sorted():
     d = cert.to_json_dict()
     keys = [int(k) for k in d["fiber_dims"]]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: fiber_census(4, 2, SeededRng(14), GF, measure_timings=True),
+    lambda: witness_certificate(4, SeededRng(14), GF, measure_timings=True),
+], ids=["census", "witness"])
+def test_measured_timing_is_read_once(run, monkeypatch, capsys):
+    # a clock that advances 10 ms per reading: certificate and log must agree
+    ticks = iter(range(1000))
+    monkeypatch.setattr(census_module.time, "perf_counter", lambda: next(ticks) / 100)
+    cert = run()
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert cert.timings_ms == {"total": 10}
+    assert ": 10 ms" in err
 
 
 def test_measured_timings_change_only_timings(capsys):

@@ -90,6 +90,14 @@ def test_nonprime_modulus_usage_error(capsys):
     assert "not prime" in err
 
 
+def test_small_prime_is_a_one_line_usage_error(capsys):
+    code, out, err = run_cli(capsys, "census", "--n", "4", "--trials", "1", "--prime", "7", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "2**20" in err and "allow_small" not in err
+
+
 def test_range_flags_validation(capsys):
     code, _, err = run_cli(capsys, "census", "--n-min", "5", "--n-max", "4", "--seed", "1")
     assert code == 2

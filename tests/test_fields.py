@@ -83,6 +83,12 @@ def test_coerce_rejects_bool_and_junk():
         PrimeField().coerce(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("window", [-1, 1.5, "3", True, None])
+def test_rational_window_must_be_a_nonnegative_int(window):
+    with pytest.raises(DomainError):
+        RationalField(sample_window=window)
+
+
 def test_describe_and_identity():
     assert PrimeField().describe() == f"GF({DEFAULT_PRIME})"
     assert RationalField(sample_window=5).describe() == "QQ(window=5)"

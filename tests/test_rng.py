@@ -23,7 +23,7 @@ def test_different_seeds_differ():
 def test_seed_range_validated():
     SeededRng(0)
     SeededRng(2**64 - 1)
-    for bad in (-1, 2**64):
+    for bad in (-1, 2**64, True, False, 1.0, "3"):
         with pytest.raises(DomainError):
             SeededRng(bad)
 
