@@ -287,6 +287,18 @@ def _sample_direction(rng: SeededRng, field: Field) -> list:
     raise SamplingError("could not sample a nonzero direction in 64 attempts")
 
 
+def _check_witness_args(n: int, points: int) -> None:
+    # called from the public entry points, so the warning names their caller
+    _require_count(n, "charge n")
+    _require_count(points, "points")
+    if not 4 <= n <= 7:
+        warnings.warn(
+            f"witness certification is calibrated for 4 <= n <= 7, got n={n}; "
+            "the pencil and rank conditions may fail generically",
+            stacklevel=3,
+        )
+
+
 def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
                      points: int = 32) -> WitnessReport:
     """Certify one random point of the slice at charge n.
@@ -298,14 +310,11 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
     directions v, and the Jacobian of the slice equations at the point has
     full row rank 3n(n-1)/2.
     """
-    _require_count(n, "charge n")
-    _require_count(points, "points")
-    if not 4 <= n <= 7:
-        warnings.warn(
-            f"witness certification is calibrated for 4 <= n <= 7, got n={n}; "
-            "the pencil and rank conditions may fail generically",
-            stacklevel=2,
-        )
+    _check_witness_args(n, points)
+    return _witness_report(n, rng, field, points)
+
+
+def _witness_report(n: int, rng: SeededRng, field: Field, points: int) -> WitnessReport:
     half = sample_half(rng.substream(f"witness/n={n}/half"), field, n)
     system = fiber_system(half)
     basis = kernel_basis(system)
@@ -348,8 +357,9 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
 
 def witness_certificate(n: int, rng: SeededRng, field: Field, *,
                         points: int = 32, measure_timings: bool = False) -> Certificate:
+    _check_witness_args(n, points)
     start = time.perf_counter()
-    report = witness_pipeline(n, rng, field, points=points)
+    report = _witness_report(n, rng, field, points)
     cert = Certificate(
         version=CERTIFICATE_VERSION,
         seed=rng.seed,

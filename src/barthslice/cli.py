@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from ._version import __version__
 from .census import (
@@ -204,9 +205,12 @@ def _run_witness(args) -> int:
     ok = True
     for n in range(lo, hi + 1):
         try:
-            cert = witness_certificate(
-                n, rng, field, points=args.points, measure_timings=args.measure_timings
-            )
+            with warnings.catch_warnings():
+                # one stderr line per library warning, like every other log line
+                warnings.showwarning = lambda msg, *_: _log(f"witness n={n}: warning: {msg}")
+                cert = witness_certificate(
+                    n, rng, field, points=args.points, measure_timings=args.measure_timings
+                )
         except WitnessUnavailable as exc:
             _log(f"witness n={n}: {exc} FAIL")
             _emit(json.dumps([c.to_json_dict() for c in certs], indent=2), args.out)

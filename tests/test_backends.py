@@ -2,15 +2,21 @@
 
 * ``_rref_mod`` on int64 and on Python ints (``dtype=object``, the generic
   path every prime past 2^31 takes) gives the same reduced echelon form and
-  pivots over GF(2^31 - 1); the object run is exact, so it catches int64
-  overflow;
+  pivots over GF(2^31 - 1) as the unblocked rank-1 loop kept here as an
+  oracle; the object run is exact, so it catches int64 overflow, and the
+  oracle catches a blocked update that goes wrong on both dtypes;
 * ranks agree between GF(2^31 - 1), GF(2^61 - 1) and QQ;
 * the fraction-free QQ reduced echelon form and kernel basis, reduced mod p,
   equal the GF(p) ones for p = 2^31 - 1 (int64) and p = 2^61 - 1 (object),
-  which needs the ranks to agree, as asserted above.
+  which needs the ranks to agree, as asserted above;
+* the float64-limb ``_matmul_mod`` is exact at the worst-case entries, and
+  the blocked elimination runs exactly where it should: on wide systems,
+  not on the small census and witness ones.
 
 Inputs are small-entry integer matrices: random ones, rank-deficient
-products of random r x k and k x c factors, and fiber systems for n = 4..7.
+products of random r x k and k x c factors, fiber systems for n = 4..7,
+and matrices with more than two panels' worth of rows and columns
+(``WIDE``), which take the blocked path.
 """
 
 from fractions import Fraction
@@ -18,10 +24,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from barthslice.barth import fiber_system
+from barthslice import linalg
+from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
 from barthslice.census import sample_half
-from barthslice.fields import PrimeField, RationalField
-from barthslice.linalg import Matrix, _rref_mod, _to_np, kernel_basis, rank, rref
+from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField
+from barthslice.linalg import (Matrix, _PANEL, _matmul_mod, _rref_mod, _to_np, kernel_basis,
+                               rank, rref)
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -48,6 +56,32 @@ def _low_rank(rng, rows, cols, k) -> Matrix:
     return _random(rng, rows, k) @ _random(rng, k, cols)
 
 
+def _zero_panel(rng, rows, cols, k) -> Matrix:
+    """Rank-k product with the first column panel all zero."""
+    m = _low_rank(rng, rows, cols, k)
+    return Matrix(QQ, [[0] * _PANEL + row[_PANEL:] for row in m.data], cols)
+
+
+def _oracle_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The unblocked elimination: one rank-1 update per pivot column."""
+    a = a % p
+    m, n = a.shape
+    pivots, r = [], 0
+    for c in range(n):
+        nz = np.nonzero(a[r:, c])[0]
+        if r == m or nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
 _RNG = SeededRng(2024)
 RANDOM = {
     f"random-{r}x{c}": _random(_RNG.substream(f"random/{r}x{c}"), r, c)
@@ -62,7 +96,26 @@ FIBER = {
     f"fiber-n{n}": fiber_system(sample_half(_RNG.substream(f"fiber/{n}"), QQ, n))
     for n in (4, 5, 6, 7)
 }
-CASES = [*RANDOM.items(), *((label, m) for label, (m, _) in LOW_RANK.items()), *FIBER.items()]
+# more than 2 * _PANEL rows and columns: the blocked elimination
+WIDE = {
+    **{
+        f"fiber-n{n}": fiber_system(sample_half(_RNG.substream(f"fiber/{n}"), QQ, n))
+        for n in (10, 12, 16)
+    },
+    "zero-panel-130x200": _zero_panel(_RNG.substream("zero-panel/130x200"), 130, 200, 20),
+    "tall-400x150": _random(_RNG.substream("random/400x150"), 400, 150),
+}
+LOW_RANK["rank20-140x136"] = (_low_rank(_RNG.substream("product/140x136/20"), 140, 136, 20), 20)
+CASES = [
+    *RANDOM.items(),
+    *((label, m) for label, (m, _) in LOW_RANK.items()),
+    *FIBER.items(),
+    *WIDE.items(),
+]
+# Fraction-free QQ elimination takes 4-35 s on these; the oracle, the
+# Python-int twin and GF(2^61 - 1) still cover them.
+QQ_SLOW = {"fiber-n12", "fiber-n16", "tall-400x150"}
+QQ_CASES = [(label, m) for label, m in CASES if label not in QQ_SLOW]
 
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
@@ -75,16 +128,20 @@ def test_int64_and_generic_rref_agree(label, m):
     assert exact.dtype == object
     assert pivots_fast == pivots_exact
     assert arr.tolist() == exact.tolist()
+    oracle, pivots_oracle = _oracle_rref(fast, P31)
+    assert pivots_fast == pivots_oracle
+    assert arr.tolist() == oracle.tolist()
 
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
 def test_ranks_agree_across_fields(label, m):
     r31 = rank(_over(GF31, m))
     assert rank(_over(GF61, m)) == r31
-    assert rank(m) == r31 == len(rref(m)[1])
+    if label not in QQ_SLOW:
+        assert rank(m) == r31 == len(rref(m)[1])
 
 
-@pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
+@pytest.mark.parametrize("label, m", QQ_CASES, ids=[label for label, _ in QQ_CASES])
 def test_rational_results_reduce_to_modular_ones(label, m):
     red_qq, pivots_qq = rref(m)
     kernel = kernel_basis(m)
@@ -100,3 +157,54 @@ def test_low_rank_products_have_the_inner_rank():
     # the rank-deficient cases really are deficient, so columns get skipped
     for label, (m, k) in LOW_RANK.items():
         assert rank(m) == k, label
+
+
+def test_wide_cases_are_blocked_and_exercise_the_panel_edges():
+    # past two panels both ways, rank falling inside a panel, an empty panel
+    wide = [*WIDE.values(), LOW_RANK["rank20-140x136"][0]]
+    assert all(min(m.shape) > 2 * _PANEL for m in wide)
+    pivots = _rref_mod(_to_np(_over(GF31, WIDE["zero-panel-130x200"])), P31)[1]
+    assert pivots == list(range(_PANEL, _PANEL + 20))
+
+
+@pytest.mark.parametrize("p", [P31, 2**31 - 19])
+@pytest.mark.parametrize("inner", [1, 64, 4096])
+def test_limb_matmul_is_exact(p, inner):
+    rng = np.random.default_rng(inner)
+    worst = (np.full((3, inner), p - 1), np.full((inner, 4), p - 1))
+    drawn = (rng.integers(0, p, size=(5, inner)), rng.integers(0, p, size=(inner, 6)))
+    for x, y in (worst, drawn):
+        exact = (x.astype(object) @ y.astype(object)) % p
+        assert _matmul_mod(x, y, p).tolist() == exact.tolist()
+
+
+def test_matrix_matmul_agrees_with_its_python_loop(monkeypatch):
+    rng = SeededRng(11)
+    a = Matrix(GF31, [[P31 - 1] * 70] + [[GF31.sample(rng) for _ in range(70)] for _ in range(5)])
+    b = Matrix(GF31, [[P31 - 1] * 4 if i % 7 else [GF31.sample(rng) for _ in range(4)]
+                      for i in range(70)])
+    fast = a @ b
+    monkeypatch.setattr(linalg, "_FAST_INNER_LIMIT", 0)
+    assert fast == a @ b
+
+
+def test_blocked_elimination_runs_on_wide_systems_only(monkeypatch):
+    calls = []
+
+    def counted(x, y, p):
+        calls.append(x.shape)
+        return _matmul_mod(x, y, p)
+
+    monkeypatch.setattr(linalg, "_matmul_mod", counted)
+    gf = PrimeField(DEFAULT_PRIME)
+    rng = SeededRng(3)
+    # every census-gate charge, and the witness fiber system and Jacobian
+    # (63 x 140, wide but with at most 63 pivots) at n = 7
+    for n in (4, 5, 6, 7, 8):
+        kernel_basis(fiber_system(sample_half(rng.substream(f"census/n={n}"), gf, n)))
+    half = sample_half(rng.substream("witness/n=7/half"), gf, 7)
+    basis = kernel_basis(fiber_system(half))
+    assert rank(jacobian(SliceData(half, fiber_from_vec(gf, 7, basis[0])))) == 63
+    assert calls == []
+    kernel_basis(fiber_system(sample_half(rng.substream("family/n=24"), gf, 24)))
+    assert calls

@@ -199,6 +199,13 @@ def test_witness_warns_outside_calibrated_range():
         witness_pipeline(2, SeededRng(9), GF)
 
 
+@pytest.mark.parametrize("entry", [witness_pipeline, witness_certificate])
+def test_witness_warning_points_at_the_caller(entry):
+    with pytest.warns(UserWarning) as caught:
+        entry(2, SeededRng(9), GF)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_witness_certificate_schema():
     cert = witness_certificate(4, SeededRng(10), GF)
     d = cert.to_json_dict()

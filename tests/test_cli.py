@@ -159,6 +159,26 @@ def test_out_flag_unwritable_path_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_uncalibrated_witness_warns_in_one_stderr_line():
+    # a library warning reaches the user as one log line, not as a
+    # file:line header plus a quoted line of package source
+    result = subprocess.run(
+        [sys.executable, "-m", "barthslice.cli", "witness", "--n", "9", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1  # n = 9 is past the calibrated range
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2 and lines[1].endswith(" FAIL")
+    assert lines[0] == (
+        "witness n=9: warning: witness certification is calibrated for 4 <= n <= 7, "
+        "got n=9; the pencil and rank conditions may fail generically"
+    )
+    assert "census.py" not in result.stderr
+    assert json.loads(result.stdout)[0]["n"] == 9
+
+
 def test_console_script_subprocess():
     # end-to-end through the installed entry point
     result = subprocess.run(
