@@ -1,41 +1,39 @@
 """Dense exact matrices over an active coefficient field.
 
 Storage is row-major (list of row lists) with entries in the field's
-canonical form.  There are two eliminations:
+canonical form.  There is one elimination, mod p on numpy:
 
-* mod p on numpy, for every prime: int64 arrays for p < 2**31, and arrays
-  of Python ints (``dtype=object``) for larger p, where every step is exact
-  as it stands.  Matrices with at most two panels' worth of rows or
-  columns run a rank-1 loop, one outer-product update per pivot.  Larger
-  ones run a blocked, rank-profile elimination (Dumas, Giorgi & Pernet, "FFLAS and FFPACK",
+* for every prime: int64 arrays for p < 2**31, and arrays of Python ints
+  (``dtype=object``) for larger p, where every step is exact as it stands.
+  Matrices with at most two panels' worth of rows or columns run a rank-1
+  loop, one outer-product update per pivot.  Larger ones run a blocked,
+  rank-profile elimination (Dumas, Giorgi & Pernet, "FFLAS and FFPACK",
   TOMS 2008; Jeannerod, Pernet & Storjohann, JSC 2013): the same loop finds
   the pivots of one panel, and every other row is updated by a matrix
   product.  On int64 that product runs in float64 on 16-bit limbs, exact
   for inner dims up to 2**21 (the bounds are written at the constants
   below).  Rows are updated a panel height at a time, so the float64
   temporaries stay a few hundred kB instead of copies of the whole matrix;
-* fraction-free over QQ: rows are scaled to integers (row scaling leaves
-  the row space, and with it the reduced echelon form, untouched),
-  eliminated by integer cross-multiplication, and divided by their content
-  after each update, so entries stay minor-sized instead of compounding
-  through reduced-fraction arithmetic.
+* over QQ, through those images: integer rows with the same row space,
+  reduced mod a fixed sequence of primes below 2**31, are combined by CRT
+  and read back by rational reconstruction (Wang 1981; Monagan, ISSAC 2004)
+  until the kernel of the candidate annihilates them exactly (see below).
 
-Pivot rules are fixed for determinism: first nonzero entry scanning
-top-to-bottom over GF(p), largest-height entry over the rationals.  The
-reduced row echelon form itself is unique regardless of pivot order or
-blocking, so ranks, kernels and canonical forms agree between all backends.
+The pivot rule is fixed: first nonzero entry, top to bottom.  The reduced
+row echelon form is unique whatever the pivot order, blocking or primes, so
+ranks, kernels and canonical forms agree between all fields and backends.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .fields import DEFAULT_PRIME, Field, PrimeField, RationalField
+from .errors import DomainError, InvariantError, ShapeError
+from .fields import DEFAULT_PRIME, Field, PrimeField, RationalField, is_prime
 
 # Exactness bounds for p < 2**31, where entries sit below 2**31:
 # * int64 rank-1 update: a pivot-column entry times a pivot-row entry is
@@ -345,102 +343,103 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination (fraction-free, content-reduced)
+# QQ: the reduced echelon form rebuilt from GF(p) images
+#
+# Certificate for a candidate R with r pivots P and denominator d.  Rank mod
+# p is at most rank over QQ, so the image gives rank L >= r.  K, R's kernel
+# in free-column form (column f: d at f, -d R[i][f] at P[i], 0 elsewhere),
+# has cols - r independent columns, so L K == 0 gives rank L <= r.  Then
+# ker L = span K fixes the row space, and R, which annihilates K, is the
+# identity at P and (like every image) zero left of each pivot, is its RREF.
+# A prime is unlucky (fewer or later pivots) only if it divides D, a nonzero
+# r x r minor of L at the true pivots; every other image is R mod p.  D and
+# each D R[i][f] are minors, at most the Hadamard bound H: past 2 H**3 of
+# primes tried, the lucky ones pass 2 H**2 and reconstruct R exactly.
 
 
-def _cleared_int_rows(m: Matrix) -> list[list[int]]:
-    """Integer rows spanning the same row space: scale out denominators
-    and strip the content; row scaling never changes the echelon form."""
-    out = []
-    for row in m.data:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        ints = [int(x.numerator) * (lcm // x.denominator) for x in row]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _cleared_int_rows(m: Matrix) -> np.ndarray:
+    """Integer rows (Python ints) with the same row space: each row times
+    the lcm of its denominators."""
+    lcms = [math.lcm(*(x.denominator for x in row)) for row in m.data]
+    ints = [[x.numerator * (k // x.denominator) for x in row] for row, k in zip(m.data, lcms)]
+    return np.array(ints, dtype=object).reshape(m.rows, m.cols)
 
 
-def _rref_rational(m: Matrix) -> tuple[list[list], list[int]]:
-    rows, cols = m.rows, m.cols
-    a = _cleared_int_rows(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        # largest-height candidate, topmost on ties
-        pr, best = -1, 0
-        for i in range(r, rows):
-            h = abs(a[i][c])
-            if h > best:
-                pr, best = i, h
-        if pr < 0:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        pv = prow[c]
-        for i in range(rows):
-            if i == r:
-                continue
-            f = a[i][c]
-            if f == 0:
-                continue
-            new = [pv * x - f * y for x, y in zip(a[i], prow)]
-            g = 0
-            for v in new:
-                g = math.gcd(g, v)
-            if g > 1:
-                new = [v // g for v in new]
-            a[i] = new
-        pivots.append(c)
-        r += 1
-    zero_row = [Fraction(0)] * cols
-    data = []
-    for i, row in enumerate(a):
-        if i < len(pivots):
-            pv = row[pivots[i]]
-            data.append([Fraction(x, pv) for x in row])
-        else:
-            data.append(zero_row[:])
-    return data, pivots
+def _images(ints: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+    """(p, RREF mod p, pivots) of an integer matrix for every prime below
+    2**31 from DEFAULT_PRIME down, a fixed sequence: QQ results are fixed."""
+    for p in filter(is_prime, range(DEFAULT_PRIME, 1, -2)):
+        yield (p, *_rref_mod((ints % p).astype(np.int64), p))
+
+
+def _reconstruct(block: np.ndarray, modulus: int) -> tuple[int, np.ndarray] | None:
+    """Denominator d and numerators d x of the fractions x in `block` mod `modulus`, or
+    None: Wang's reconstruction of each entry that the running d leaves above `bound`."""
+    bound = math.isqrt((modulus - 1) // 2)  # unique fractions up to bound / bound
+    d = 1
+    while True:
+        num = block * d % modulus
+        num[num > modulus // 2] -= modulus
+        big = np.flatnonzero(abs(num) > bound)
+        if big.size == 0:
+            return d, num
+        r0, r1, s0, s1 = modulus, num.flat[big[0]] % modulus, 0, 1
+        while r1 > bound:  # r_i == s_i * y (mod modulus) throughout
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if math.gcd(r1, s1) != 1 or d * abs(s1) > bound:
+            return None
+        d *= abs(s1)
+
+
+def _kernel_annihilated(ints: np.ndarray, pivots: list, free: list, d: int, num: np.ndarray) -> bool:
+    """L K == 0 in Python ints, for K read off the candidate (d, num)."""
+    return np.array_equal(ints[:, free] * d, ints[:, pivots] @ num)
+
+
+def _rref_qq(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Images with the most, lexicographically least pivots win (none beats QQ) and
+    are combined; reconstruct after 1, 2, 4, ... of them until the check passes."""
+    ints = _cleared_int_rows(m)
+    cap = 2 * math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in ints.tolist()) ** 3
+    tried, best = 1, None
+    for p, arr, pivots in _images(ints):
+        tried *= p
+        if best is None or (-len(pivots), pivots) < (-len(best), best):  # restart the CRT
+            free = sorted(set(range(m.cols)) - set(pivots))
+            best, kept, modulus, block = pivots, 0, 1, np.zeros((len(pivots), len(free)), dtype=object)
+        if pivots == best:  # CRT: x == block (mod modulus), x == image (mod p)
+            lift = (arr[:len(best), free] - (block % p).astype(np.int64)) % p
+            block = block + modulus * (lift * pow(modulus, -1, p) % p).astype(object)
+            kept, modulus = kept + 1, modulus * p
+        if (pivots == best and kept & (kept - 1) == 0) or tried > cap:
+            found = _reconstruct(block, modulus)
+            if found and _kernel_annihilated(ints, best, free, *found):
+                break
+            if tried > cap:
+                raise InvariantError("QQ echelon form not certified within the Hadamard bound")
+    d, num = found
+    out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
+    out[:len(best), free] = num * Fraction(1, d)
+    out[range(len(best)), best] = Fraction(1)
+    return Matrix._raw(m.field, out.tolist(), m.cols), best
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns (both canonical)."""
-    if m.rows == 0 or m.cols == 0:
-        return Matrix._raw(m.field, [row[:] for row in m.data], m.cols), []
     if isinstance(m.field, PrimeField):
         arr, pivots = _rref_mod(_to_np(m), m.field.p)
         return _from_np(m.field, arr), pivots
-    data, pivots = _rref_rational(m)
-    return Matrix._raw(m.field, data, m.cols), pivots
-
-
-def _modular_rank_probe(m: Matrix, p: int) -> int:
-    """Rank of the cleared integer matrix reduced mod p.
-
-    Reduction can only collapse independent rows, never create new ones,
-    so the probe is a certified lower bound for the rational rank.
-    """
-    arr = np.array(
-        [[v % p for v in row] for row in _cleared_int_rows(m)], dtype=np.int64
-    ).reshape(m.rows, m.cols)
-    return len(_rref_mod(arr, p)[1])
+    return _rref_qq(m)
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    if isinstance(m.field, RationalField) and m.rows and m.cols:
-        bound = min(m.rows, m.cols)
-        if _modular_rank_probe(m, DEFAULT_PRIME) == bound:
-            return bound
+    if isinstance(m.field, RationalField):
+        # full rank mod p is full rank over QQ, whose rank is no smaller
+        _, _, pivots = next(_images(_cleared_int_rows(m)))
+        if len(pivots) == min(m.rows, m.cols):
+            return len(pivots)
     return len(rref(m)[1])
 
 

@@ -1,14 +1,20 @@
-"""Differential tests: the two eliminations and their numpy dtypes must agree.
+"""Differential tests: the one elimination, its numpy dtypes and its QQ
+reconstruction must agree with independent code paths.
 
 * ``_rref_mod`` on int64 and on Python ints (``dtype=object``, the generic
   path every prime past 2^31 takes) gives the same reduced echelon form and
   pivots over GF(2^31 - 1) as the unblocked rank-1 loop kept here as an
   oracle; the object run is exact, so it catches int64 overflow, and the
   oracle catches a blocked update that goes wrong on both dtypes;
+* the QQ reduced echelon form, rebuilt from ``_rref_mod`` images by CRT and
+  rational reconstruction, equals the fraction-free elimination kept here as
+  an oracle, which shares no code with ``_rref_mod``; that includes inputs
+  whose first one, two or three primes are unlucky and an RREF of over 400
+  bits, and a reconstruction that never certifies ends in InvariantError;
 * ranks agree between GF(2^31 - 1), GF(2^61 - 1) and QQ;
-* the fraction-free QQ reduced echelon form and kernel basis, reduced mod p,
-  equal the GF(p) ones for p = 2^31 - 1 (int64) and p = 2^61 - 1 (object),
-  which needs the ranks to agree, as asserted above;
+* the QQ reduced echelon form and kernel basis, reduced mod p, equal the
+  GF(p) ones for p = 2^31 - 1 (int64) and p = 2^61 - 1 (object), which
+  needs the ranks to agree, as asserted above;
 * the float64-limb ``_matmul_mod`` is exact at the worst-case entries, and
   the blocked elimination runs exactly where it should: on wide systems,
   not on the small census and witness ones.
@@ -19,17 +25,20 @@ and matrices with more than two panels' worth of rows and columns
 (``WIDE``), which take the blocked path.
 """
 
+import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from barthslice import linalg
 from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
-from barthslice.census import sample_half
-from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField
-from barthslice.linalg import (Matrix, _PANEL, _matmul_mod, _rref_mod, _to_np, kernel_basis,
-                               rank, rref)
+from barthslice.census import sample_half, witness_pipeline
+from barthslice.errors import InvariantError
+from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
+from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _images, _matmul_mod,
+                               _rref_mod, _to_np, kernel_basis, rank, rref)
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -82,6 +91,32 @@ def _oracle_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _oracle_rref_qq(m: Matrix) -> tuple[list[list], list[int]]:
+    """Fraction-free elimination over QQ: integer rows, cross-multiplied and
+    divided by their content after each update."""
+    a = []
+    for row in m.data:
+        lcm = math.lcm(*(x.denominator for x in row))
+        a.append([int(x * lcm) for x in row])
+    pivots, r = [], 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        for i in range(m.rows):
+            f = a[i][c]
+            if i != r and f:
+                new = [pv * x - f * y for x, y in zip(a[i], a[r])]
+                g = math.gcd(*new) or 1
+                a[i] = [v // g for v in new]
+        pivots.append(c)
+        r += 1
+    data = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    return data + [[Fraction(0)] * m.cols for _ in range(m.rows - r)], pivots
+
+
 _RNG = SeededRng(2024)
 RANDOM = {
     f"random-{r}x{c}": _random(_RNG.substream(f"random/{r}x{c}"), r, c)
@@ -112,10 +147,40 @@ CASES = [
     *FIBER.items(),
     *WIDE.items(),
 ]
-# Fraction-free QQ elimination takes 4-35 s on these; the oracle, the
-# Python-int twin and GF(2^61 - 1) still cover them.
-QQ_SLOW = {"fiber-n12", "fiber-n16", "tall-400x150"}
-QQ_CASES = [(label, m) for label, m in CASES if label not in QQ_SLOW]
+# The fraction-free oracle takes seconds on the wide fiber systems (34 s at
+# n = 16); the other differential tests still cover them over QQ.
+ORACLE_SLOW = {"fiber-n10", "fiber-n12", "fiber-n16", "tall-400x150"}
+# the first primes of the QQ elimination's sequence, which the test below checks
+P1, P2, P3 = islice(filter(is_prime, range(DEFAULT_PRIME, 1, -2)), 3)
+# label -> (matrix, how many primes of the sequence are unlucky for it):
+# a pivot or a minor divisible by the first one, two and three primes
+UNLUCKY = {
+    "pivot-p1": (Matrix(QQ, [[P1, 1]]), 1),
+    "late-pivot-p1": (Matrix(QQ, [[1, 1, 0], [0, P1, 1]]), 1),
+    "entry-p1p2": (Matrix(QQ, [[P1 * P2, 3], [1, 1]]), 0),
+    "pivot-p1p2": (Matrix(QQ, [[2, 1, 1], [0, P1 * P2, 3]]), 2),
+    "minor-p1p2": (Matrix(QQ, [[1, 1], [1, 1 + P1 * P2]]), 2),
+    "pivot-p1p2p3": (Matrix(QQ, [[P1 * P2 * P3, 1]]), 3),
+    "minor-p1p2p3": (Matrix(QQ, [[1, 1, 1], [1, 1 + P1 * P2 * P3, 2]]), 3),
+}
+# an RREF hundreds of bits tall: more than 16 primes
+TALL = fiber_system(sample_half(SeededRng(1).substream("fiber/7"), RationalField(sample_window=100), 7))
+ORACLE_CASES = [
+    *((label, m) for label, m in CASES if label not in ORACLE_SLOW),
+    *((label, m) for label, (m, _) in UNLUCKY.items()),
+    ("tall-n7-window100", TALL),
+]
+
+
+def _count_images(monkeypatch) -> list:
+    calls = []
+
+    def counted(a, p):
+        calls.append(p)
+        return _rref_mod(a, p)
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    return calls
 
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
@@ -137,11 +202,55 @@ def test_int64_and_generic_rref_agree(label, m):
 def test_ranks_agree_across_fields(label, m):
     r31 = rank(_over(GF31, m))
     assert rank(_over(GF61, m)) == r31
-    if label not in QQ_SLOW:
-        assert rank(m) == r31 == len(rref(m)[1])
+    assert rank(m) == r31 == len(rref(m)[1])
 
 
-@pytest.mark.parametrize("label, m", QQ_CASES, ids=[label for label, _ in QQ_CASES])
+@pytest.mark.parametrize("label, m", ORACLE_CASES, ids=[label for label, _ in ORACLE_CASES])
+def test_rational_rref_matches_fraction_free_oracle(label, m):
+    red, pivots = rref(m)
+    data, pivots_oracle = _oracle_rref_qq(m)
+    assert pivots == pivots_oracle
+    assert red.data == data
+
+
+@pytest.mark.parametrize("label", UNLUCKY)
+def test_unlucky_primes_are_dropped(label):
+    m, unlucky = UNLUCKY[label]
+    pivots = rref(m)[1]
+    images = list(islice(_images(_cleared_int_rows(m)), unlucky + 1))
+    assert [p for p, _, _ in images][:3] == [P1, P2, P3][:unlucky + 1]
+    assert [image != pivots for _, _, image in images] == [True] * unlucky + [False]
+    assert rank(m) == len(pivots)
+
+
+def test_tall_rref_needs_more_than_16_primes(monkeypatch):
+    calls = _count_images(monkeypatch)
+    red = rref(TALL)[0]
+    assert len(calls) > 16
+    assert max(abs(x.numerator).bit_length() for row in red.data for x in row) >= 400
+
+
+def test_uncertified_reconstruction_raises_instead_of_looping(monkeypatch):
+    calls = _count_images(monkeypatch)
+    monkeypatch.setattr(linalg, "_kernel_annihilated", lambda *args: False)
+    for m, _ in UNLUCKY.values():
+        calls.clear()
+        with pytest.raises(InvariantError):
+            rref(m)
+        # every Hadamard bound H here is below 2^95, and 2 H^3 < 2^300
+        assert 0 < len(calls) <= 10
+
+
+def test_rational_witness_past_the_full_rank_exit():
+    # at n = 10 the Jacobian is not full rank, so its QQ rank goes through rref
+    with pytest.warns(UserWarning):
+        report = witness_pipeline(10, SeededRng(1), RationalField(sample_window=5))
+    assert report.fiber_dim == 4
+    assert report.jacobian_rank == 126
+    assert not report.jacobian_full
+
+
+@pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
 def test_rational_results_reduce_to_modular_ones(label, m):
     red_qq, pivots_qq = rref(m)
     kernel = kernel_basis(m)

@@ -1,11 +1,10 @@
 """Golden certificates: sha256 of the CLI's standard output for fixed seeds.
 
-Together the commands cover both eliminations and both numpy dtypes of the
-modular one: int64 for GF(2^31 - 1), Python ints for a prime past 2^31,
-and the fraction-free rationals; the witness runs once over QQ and once
-over GF(2^31 - 1).  A change that
-alters a single stdout byte (certificate layout, draw order, kernel basis)
-fails here.
+Together the commands cover the one elimination on both of its numpy
+dtypes, int64 for GF(2^31 - 1) and Python ints for a prime past 2^31, and
+over the rationals, where it is rebuilt from GF(p) images; the witness runs
+once over QQ and once over GF(2^31 - 1).  A change that alters a single
+stdout byte (certificate layout, draw order, kernel basis) fails here.
 """
 
 import hashlib

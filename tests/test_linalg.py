@@ -163,11 +163,16 @@ def test_rank_deficient_rational_uses_exact_fallback():
 
 
 def test_empty_shapes():
-    m = Matrix(QQ, [], cols=3)
-    assert m.shape == (0, 3)
-    assert rank(m) == 0
-    assert len(kernel_basis(m)) == 3
-    assert rref(m)[1] == []
+    for field in (GF, QQ):
+        m = Matrix(field, [], cols=3)
+        assert m.shape == (0, 3)
+        assert rank(m) == 0
+        assert len(kernel_basis(m)) == 3
+        assert rref(m) == (m, [])
+        no_cols = Matrix(field, [[], []], cols=0)
+        assert rank(no_cols) == 0
+        assert kernel_basis(no_cols) == []
+        assert rref(no_cols) == (no_cols, [])
 
 
 def test_inverse_round_trip_and_singular():
