@@ -28,10 +28,15 @@ conjugation under it, so the solution set is invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InvariantError, SamplingError, ShapeError
-from .fields import Field
-from .linalg import Matrix, inverse, matvec
+from .fields import Field, PrimeField
+from .linalg import Matrix, _has_fast_path, inverse, matvec
+
+# numpy after .linalg, which loads it too: with no bytecode cache, compiling
+# linalg.py before numpy is resident keeps the CLI's peak RSS 0.5 MB lower
+import numpy as np  # noqa: E402
 
 
 def _check_not_char2(field: Field):
@@ -285,46 +290,72 @@ def half_from_vec(field: Field, n: int, v: list) -> HalfData:
 # The linear fiber system
 
 
-def _bracket_block(field: Field, X: Matrix, x: tuple) -> list[list]:
-    """Rows of L(Y, y) = [X, Y] + x ^ y for symmetric Y.
+# one charge at a time: the census runs n by n, and the arrays grow as n**3
+# (0.9 MB at n = 24)
+@lru_cache(maxsize=1)
+def _fiber_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Index arrays of L = sum_k h_k E_k, the fiber system as a function of
+    the half coordinates h (vec_half order): (flat, coord) pairs for the
+    terms +h[coord] and for the terms -h[coord], flat = row * n(n+3) + col.
 
-    One row per skew index pair (i, j), columns vech(Y) then y; entries
-    are coerced once, when the row is complete.
+    One block L(Y, y) = [X, Y] + x ^ y has, in row (i, j), the terms
+    +X_ik at Y_kj and +x_i at y_j, and -X_kj at Y_ik and -x_j at y_i.  Within
+    one sign no two terms share an entry (only X_ii - X_jj at Y_ij meet, with
+    opposite signs), so each sign is assembled by one fancy-index update.
+    The block sits four times in [[L1, 0], [0, L2], [L2, L1]].
     """
-    n = X.rows
-    s = n * (n + 1) // 2
+    s, p = n * (n + 1) // 2, n * (n - 1) // 2
+    width = n * (n + 3)
     pos = {ij: k for k, ij in enumerate(sym_index(n))}
-    xd = X.data
-    rows = []
-    for i, j in skew_index(n):
-        row = [0] * (s + n)
-        xi = xd[i]
+
+    def vech(i, j):
+        return pos[(i, j) if i <= j else (j, i)]
+
+    # block-local terms (row, col, coord); cols and coords are vech(.) then
+    # the vector index offset by s
+    plus, minus = [], []
+    for r, (i, j) in enumerate(skew_index(n)):
         for k in range(n):
-            # [X, Y]_ij = sum_k X_ik Y_kj - Y_ik X_kj
-            row[pos[(k, j) if k <= j else (j, k)]] += xi[k]
-            row[pos[(i, k) if i <= k else (k, i)]] -= xd[k][j]
-        # (x ^ y)_ij = x_i y_j - y_i x_j
-        row[s + j] += x[i]
-        row[s + i] -= x[j]
-        rows.append([field.coerce(e) for e in row])
-    return rows
+            plus.append((r, vech(k, j), vech(i, k)))
+            minus.append((r, vech(i, k), vech(k, j)))
+        plus.append((r, s + j, s + i))
+        minus.append((r, s + i, s + j))
+    # (row offset, half block of X, fiber block of Y); block b of a pair
+    # layout holds the matrix at b * s and the vector at 2s + b * n
+    placements = ((0, 0, 0), (p, 1, 1), (2 * p, 1, 0), (2 * p, 0, 1))
+
+    def place(local, b):
+        return np.where(local < s, local + b * s, local - s + 2 * s + b * n)
+
+    out = []
+    for terms in (plus, minus):
+        r, c, h = np.array(terms, dtype=np.intp).reshape(-1, 3).T
+        flat = np.concatenate([(r + dr) * width + place(c, bf) for dr, _, bf in placements])
+        coord = np.concatenate([place(h, bh) for _, bh, _ in placements])
+        out.append((flat, coord))
+    return tuple(out)
 
 
-def _block_system(field: Field, X1: Matrix, x1: tuple, X2: Matrix, x2: tuple) -> Matrix:
-    """[[L1, 0], [0, L2], [L2, L1]] with L_i = _bracket_block(X_i, x_i).
+def _fiber_stack(n: int, h: np.ndarray, zero=0, negate: bool = False) -> np.ndarray:
+    """Fiber systems L(h) of a (trials, n(n+3)) stack of half vectors, as a
+    (trials, 3n(n-1)/2, n(n+3)) stack of h's dtype; entries are signed sums
+    of at most two coordinates, not reduced.  `zero` fills the entries no
+    term reaches; `negate` gives -L(h)."""
+    (pf, pc), (mf, mc) = _fiber_index(n)
+    if negate:
+        (pf, pc), (mf, mc) = (mf, mc), (pf, pc)
+    rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
+    out = np.full((h.shape[0], rows * width), zero, dtype=h.dtype)
+    out[:, pf] = h[:, pc]
+    out[:, mf] -= h[:, mc]
+    return out.reshape(h.shape[0], rows, width)
 
-    Block columns are (Y1, y1) and (Y2, y2), laid out as Y1, Y2, y1, y2.
-    """
-    n = X1.rows
-    s = n * (n + 1) // 2
-    l1 = _bracket_block(field, X1, x1)
-    l2 = _bracket_block(field, X2, x2)
-    zs = [field.zero()] * s
-    zn = [field.zero()] * n
-    rows = [r[:s] + zs + r[s:] + zn for r in l1]
-    rows += [zs + r[:s] + zn + r[s:] for r in l2]
-    rows += [p[:s] + q[:s] + p[s:] + q[s:] for p, q in zip(l2, l1)]
-    return Matrix._raw(field, rows, 2 * (s + n))
+
+def _system_array(field: Field, n: int, vec: list, negate: bool = False) -> np.ndarray:
+    """L(vec) (or -L(vec)) as one array of canonical field entries."""
+    h = np.array([vec], dtype=np.int64 if _has_fast_path(field) else object)
+    a = _fiber_stack(n, h, field.zero(), negate)[0]
+    return a % field.p if isinstance(field, PrimeField) else a
 
 
 def fiber_system(half: HalfData) -> Matrix:
@@ -333,9 +364,12 @@ def fiber_system(half: HalfData) -> Matrix:
     L has 3n(n-1)/2 rows and n(n+3) columns and satisfies
     vec_skew(residual(half, f)) = L @ vec_fiber(f) for every FiberData f.
     In block form L = [[L1, 0], [0, L2], [L2, L1]] over (B1, b1), (B2, b2),
-    where L_i(B, b) = [A_i, B] + a_i ^ b.
+    where L_i(B, b) = [A_i, B] + a_i ^ b.  L is linear in the half:
+    L = sum_k h_k E_k over h = vec_half(half), assembled from the index
+    arrays of the E_k.
     """
-    return _block_system(half.field, half.A1, half.a1, half.A2, half.a2)
+    a = _system_array(half.field, half.n, vec_half(half))
+    return Matrix._raw(half.field, a.tolist(), a.shape[1])
 
 
 def canonical_fiber_solutions(half: HalfData) -> list[FiberData]:
@@ -359,6 +393,21 @@ def canonical_fiber_solutions(half: HalfData) -> list[FiberData]:
         if not residual(SliceData(half, f)).is_zero():
             raise InvariantError("canonical fiber solution has nonzero residual")
     return sols
+
+
+def _canonical_stack(n: int, h: np.ndarray) -> np.ndarray:
+    """The four canonical fiber solutions of each half in a (trials, n(n+3))
+    stack of half vectors, as a (trials, 4, n(n+3)) stack of vec_fiber rows:
+    vech(I) in the B1 block, vech(I) in the B2 block, the half's matrices
+    vech(A1), vech(A2), and its vectors a1, a2."""
+    s = n * (n + 1) // 2
+    diag = [k for k, (i, j) in enumerate(sym_index(n)) if i == j]
+    c = np.zeros((h.shape[0], 4, h.shape[1]), dtype=h.dtype)
+    c[:, 0, diag] = 1
+    c[:, 1, [s + k for k in diag]] = 1
+    c[:, 2, :2 * s] = h[:, :2 * s]
+    c[:, 3, 2 * s:] = h[:, 2 * s:]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +520,10 @@ def jacobian(x: SliceData) -> Matrix:
 
     Shape (3n(n-1)/2) x 2n(n+3), half-block columns first.  By bilinearity
     the fiber block is fiber_system(x.half).  The half block is the same
-    block system with (B, b) frozen instead, negated: [X, Y] + x ^ y changes
-    sign when (X, x) and (Y, y) swap.
+    system with (B, b) frozen instead, negated: [X, Y] + x ^ y changes sign
+    when (X, x) and (Y, y) swap, so it is -L(vec_fiber(x.fiber)).
     """
-    f = x.fiber
-    half_block = -_block_system(x.field, f.B1, f.b1, f.B2, f.b2)
-    return Matrix.hstack([half_block, fiber_system(x.half)])
+    field, n = x.field, x.n
+    a = np.hstack([_system_array(field, n, vec_fiber(x.fiber), negate=True),
+                   _system_array(field, n, vec_half(x.half))])
+    return Matrix._raw(field, a.tolist(), a.shape[1])

@@ -15,21 +15,24 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from ._version import __version__
 from .barth import (
     HalfData,
     SliceData,
-    canonical_fiber_solutions,
+    _canonical_stack,
+    _fiber_stack,
     fiber_from_vec,
     fiber_system,
     half_from_vec,
     jacobian,
     residual,
-    vec_fiber,
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
-from .fields import Field
-from .linalg import kernel_basis, rank, spans_match
+from .fields import Field, PrimeField
+from .linalg import (_FAST_PRIME_LIMIT, _STACK_ENTRIES, Matrix, _cleared_int_rows,
+                     _has_fast_path, _primes, _ranks_mod, kernel_basis, rank)
 from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -184,9 +187,14 @@ def _timings_ms(start: float, measure: bool) -> dict:
 
 
 def sample_half(rng: SeededRng, field: Field, n: int) -> HalfData:
-    """Uniform half datum; draws its coordinates in vec_half order:
-    vech(A1), vech(A2), a1, a2 (triangles row-major)."""
-    return half_from_vec(field, n, [field.sample(rng) for _ in range(n * (n + 3))])
+    """Uniform half datum, from the draws of `_half_draws`."""
+    return half_from_vec(field, n, _half_draws(rng, field, n))
+
+
+def _half_draws(rng: SeededRng, field: Field, n: int) -> list:
+    """Uniform half coordinates, drawn in vec_half order: vech(A1), vech(A2),
+    a1, a2 (triangles row-major)."""
+    return [field.sample(rng) for _ in range(n * (n + 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +206,11 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
     """Histogram of fiber dimensions over random half data.
 
     Each trial draws from its own substream, so certificates do not depend
-    on trial scheduling.  With check_family=True (n >= 8 only) every trial
-    additionally verifies that the kernel equals the span of the four
-    canonical solutions.
+    on trial scheduling.  A trial's dimension is n(n+3) - rank L.  With
+    check_family=True (n >= 8 only) every trial additionally verifies that
+    the kernel equals the span of the four canonical solutions.  These
+    always lie in the kernel (`canonical_fiber_solutions` asserts it), so
+    that holds exactly when the dimension is 4 and they are independent.
     """
     _require_count(n, "charge n")
     _require_count(trials, "trials")
@@ -208,17 +218,15 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
         raise DomainError("family verification applies to n >= 8 only")
 
     start = time.perf_counter()
+    ranks, independent = _census_ranks(field, n, _census_halves(rng, field, n, trials),
+                                       check_family)
+    width = n * (n + 3)
     hist: dict[int, int] = {}
-    family_ok = True if check_family else None
-    for trial in range(trials):
-        sub = rng.substream(f"census/n={n}/trial={trial}")
-        half = sample_half(sub, field, n)
-        system = fiber_system(half)
-        basis = kernel_basis(system)
-        dim = len(basis)
-        hist[dim] = hist.get(dim, 0) + 1
-        if check_family and not _family_trial_ok(half, basis):
-            family_ok = False
+    for r in ranks:
+        hist[width - r] = hist.get(width - r, 0) + 1
+    family_ok = None
+    if check_family:
+        family_ok = all(r == width - 4 and k == 4 for r, k in zip(ranks, independent))
     cert = Certificate(
         version=CERTIFICATE_VERSION,
         seed=rng.seed,
@@ -235,16 +243,55 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
     return cert
 
 
+def _census_halves(rng: SeededRng, field: Field, n: int, trials: int) -> np.ndarray:
+    """Row t holds trial t's half coordinates, drawn by `_half_draws` from
+    substream census/n=../trial=t, as integers: residues over
+    GF(p) (int64 below 2**31, Python ints past it), and over QQ each row
+    cleared of denominators (Python ints), which scales L and the canonical
+    solutions without changing a rank."""
+    width = n * (n + 3)
+    prime = isinstance(field, PrimeField)
+    h = np.empty((trials, width), dtype=np.int64 if _has_fast_path(field) else object)
+    for trial in range(trials):
+        draws = _half_draws(rng.substream(f"census/n={n}/trial={trial}"), field, n)
+        h[trial] = draws if prime else _cleared_int_rows(Matrix._raw(field, [draws], width))[0]
+    return h
+
+
+def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tuple[list, list]:
+    """Exact ranks of L, and with check_family of the four canonical
+    solutions, for each half row of the integer stack `h`.
+
+    Trials are eliminated mod p in stacks of at most _STACK_ENTRIES entries.
+    Over QQ, p is the first prime of the QQ elimination; a rank mod p is at
+    most the rank over QQ, so only a trial short of full rank there is
+    ranked again, exactly, by `rank`.
+    """
+    rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
+    p = field.p if isinstance(field, PrimeField) else next(_primes())
+    residues = (h % p).astype(np.int64 if p < _FAST_PRIME_LIMIT else object)
+    step = max(1, _STACK_ENTRIES // max(1, rows * width))
+    ranks, independent = [], []
+    for lo in range(0, len(h), step):
+        chunk = residues[lo:lo + step]
+        stack = _fiber_stack(n, chunk)
+        stack %= p
+        ranks += _ranks_mod(stack, p)
+        if check_family:
+            independent += _ranks_mod(_canonical_stack(n, chunk), p)
+    if not isinstance(field, PrimeField):
+        for t, row in enumerate(h.tolist()):
+            if ranks[t] < min(rows, width) or (check_family and independent[t] < 4):
+                ranks[t] = rank(fiber_system(half_from_vec(field, n, row)))
+                if check_family:
+                    canonical = _canonical_stack(n, h[t:t + 1])[0].tolist()
+                    independent[t] = rank(Matrix(field, canonical, width))
+    return ranks, independent
+
+
 def census_threshold(trials: int) -> int:
     """Minimum number of trials that must land on the expected dimension."""
     return -(-CENSUS_PASS_NUM * trials // CENSUS_PASS_DEN)
-
-
-def _family_trial_ok(half: HalfData, basis: list) -> bool:
-    if len(basis) != 4:
-        return False
-    canonical = [vec_fiber(f) for f in canonical_fiber_solutions(half)]
-    return spans_match(half.field, basis, canonical, half.n * (half.n + 3))
 
 
 def certificate_ok(cert: Certificate) -> bool:

@@ -1,7 +1,7 @@
 """Dense exact matrices over an active coefficient field.
 
 Storage is row-major (list of row lists) with entries in the field's
-canonical form.  There is one elimination, mod p on numpy:
+canonical form.  Elimination is mod p on numpy:
 
 * for every prime: int64 arrays for p < 2**31, and arrays of Python ints
   (``dtype=object``) for larger p, where every step is exact as it stands.
@@ -17,7 +17,10 @@ canonical form.  There is one elimination, mod p on numpy:
 * over QQ, through those images: integer rows with the same row space,
   reduced mod a fixed sequence of primes below 2**31, are combined by CRT
   and read back by rational reconstruction (Wang 1981; Monagan, ISSAC 2004)
-  until the kernel of the candidate annihilates them exactly (see below).
+  until the kernel of the candidate annihilates them exactly (see below);
+* for stacks of small matrices whose ranks alone are needed (the census),
+  `_ranks_mod` eliminates the whole stack at once, forward only, on the
+  same dtypes.
 
 The pivot rule is fixed: first nonzero entry, top to bottom.  The reduced
 row echelon form is unique whatever the pivot order, blocking or primes, so
@@ -49,6 +52,13 @@ _FAST_INNER_LIMIT = 1 << 21
 # pivots the panel inverses cost more than the products save (the 63 x 140
 # Jacobian at n = 7 reduces in 12 ms unblocked, 16 ms blocked).
 _PANEL = 64
+# Entry budget of one stack of the batched rank elimination (`_ranks_mod`):
+# callers split their trials into stacks of at most this many entries (256 kB
+# of int64), so the few stack-sized temporaries keep peak memory flat in the
+# number of trials.  The census of n = 4..8 with 100 trials ran as fast at 32k
+# entries as at 64k; its peak RSS rose 1.1 MB over per-trial elimination at
+# 32k, 1.6 MB at 64k and 4 MB at 128k.
+_STACK_ENTRIES = 1 << 15
 
 
 class Matrix:
@@ -342,6 +352,82 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _inverses_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the residues in x, 0 for 0, with a single modular
+    inverse (Montgomery's trick): invert the product of the nonzero entries,
+    then peel the factors off in reverse.  Over the 3561 steps of the
+    n = 4..8 census with 100 trials this takes 27 ms of CPU, against 55 ms
+    for one pow per entry; a vectorized Fermat power costs some 120 numpy
+    calls, about 160 us, per step."""
+    vals = x.tolist()
+    prefix, acc = [], 1
+    for v in vals:
+        prefix.append(acc)
+        if v:
+            acc = acc * v % p
+    inv, out = pow(acc, -1, p), [0] * len(vals)
+    for k in reversed(range(len(vals))):
+        if vals[k]:
+            out[k], inv = inv * prefix[k] % p, inv * vals[k] % p
+    return np.array(out, dtype=x.dtype)
+
+
+def _ranks_mod(a: np.ndarray, p: int) -> list[int]:
+    """Ranks mod p of a (trials, m, w) stack with entries in [0, p); `a` is
+    overwritten.
+
+    Forward elimination of every trial at once, rank only.  A wide stack is
+    read as its transpose, which has the same ranks, so that generic systems
+    of full row rank never lack a pivot in their column.  Step k pivots at
+    (k, k) of each trial and updates only the trailing block below and right
+    of it.  A trial with a zero there first swaps in the first nonzero column
+    of its active block, and that column's first nonzero row: after k steps
+    the rank is k plus the rank of the active block (a Schur complement),
+    which no permutation of its rows or columns changes.  A trial whose
+    active block is zero keeps a zero pivot, and its rank stops growing.
+
+    The update is exact on int64: factor and pivot-row entries are residues
+    below p < 2**31, so each product is below 2**62, block - f * prow stays
+    above -2**62, and one % per update is enough.  Stacks of matrices with
+    more than 2 * _PANEL rows and columns go to `_rref_mod` one at a time.
+    """
+    trials, m, w = a.shape
+    if min(m, w) > 2 * _PANEL:
+        return [len(_rref_mod(x, p)[1]) for x in a]
+    if m < w:
+        a, m, w = a.transpose(0, 2, 1), w, m
+    ranks = np.zeros(trials, dtype=np.intp)
+    for k in range(w):
+        stuck = np.flatnonzero(a[:, k, k] == 0)
+        if stuck.size:
+            _swap_in_pivots(a[:, k:, k:], stuck)
+        pivots = a[:, k, k]
+        live = pivots != 0
+        if not live.any():
+            break
+        ranks += live
+        prow = a[:, k, None, k + 1:] * _inverses_mod(pivots, p)[:, None, None] % p
+        block = a[:, k + 1:, k + 1:]
+        block -= a[:, k + 1:, k, None] * prow
+        block %= p
+    return ranks.tolist()
+
+
+def _swap_in_pivots(act: np.ndarray, stuck: np.ndarray):
+    """Give each `stuck` trial of the active blocks `act` (a view) a nonzero
+    at (0, 0) where its block has one: first the first nonzero column, if
+    column 0 is zero, then that column's first nonzero row."""
+    col = act[stuck, :, 0] != 0
+    empty = ~col.any(axis=1)
+    if empty.any():
+        t = stuck[empty]
+        j = (act[t] != 0).any(axis=1).argmax(axis=1)  # 0 for a zero block
+        act[t, :, 0], act[t, :, j] = act[t, :, j], act[t, :, 0]
+        col[empty] = act[t, :, 0] != 0
+    i = col.argmax(axis=1)
+    act[stuck, 0], act[stuck, i] = act[stuck, i], act[stuck, 0]
+
+
 # ---------------------------------------------------------------------------
 # QQ: the reduced echelon form rebuilt from GF(p) images
 #
@@ -365,10 +451,16 @@ def _cleared_int_rows(m: Matrix) -> np.ndarray:
     return np.array(ints, dtype=object).reshape(m.rows, m.cols)
 
 
+def _primes() -> Iterator[int]:
+    """Every prime below 2**31 from DEFAULT_PRIME down, a fixed sequence:
+    QQ results are fixed."""
+    return filter(is_prime, range(DEFAULT_PRIME, 1, -2))
+
+
 def _images(ints: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[int]]]:
-    """(p, RREF mod p, pivots) of an integer matrix for every prime below
-    2**31 from DEFAULT_PRIME down, a fixed sequence: QQ results are fixed."""
-    for p in filter(is_prime, range(DEFAULT_PRIME, 1, -2)):
+    """(p, RREF mod p, pivots) of an integer matrix for every prime of
+    `_primes`."""
+    for p in _primes():
         yield (p, *_rref_mod((ints % p).astype(np.int64), p))
 
 

@@ -1,0 +1,255 @@
+"""The census engine on arrays, against code paths that share none of it.
+
+* assembly: by bilinearity, column j of `fiber_system(half)` is
+  vec_skew(residual(half, e_j)), and column j of the Jacobian's half block
+  is vec_skew(residual(e_j, fiber)); neither reads the index arrays, and
+  the entries come back as Python ints or Fractions;
+* batched ranks: `_census_ranks` equals `rank(fiber_system(half))` trial by
+  trial over GF(2^31 - 1) (int64 stacks), GF(2^61 - 1) (Python-int stacks)
+  and QQ, on stacks that mix generic halves with planted deficient ones in
+  one chunk, and across chunk boundaries;
+* the family verdict (dim 4 and the four canonical solutions independent)
+  equals the kernel-span comparison it replaced, kept here as the oracle;
+* no stack the census eliminates holds more than `_STACK_ENTRIES` entries.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from barthslice import census as census_module
+from barthslice import linalg
+from barthslice.barth import (SliceData, _fiber_index, canonical_fiber_solutions, fiber_from_vec,
+                              fiber_system, half_from_vec, jacobian, residual, sym_index, vec_fiber,
+                              vec_half, vec_skew)
+from barthslice.census import _census_ranks, fiber_census, sample_half
+from barthslice.fields import PrimeField, RationalField
+from barthslice.linalg import (_STACK_ENTRIES, Matrix, _ranks_mod, kernel_basis, rank,
+                               spans_match)
+from barthslice.rng import SeededRng
+
+P31 = 2**31 - 1
+P61 = 2**61 - 1
+GF31 = PrimeField(P31)
+GF61 = PrimeField(P61)
+QQ = RationalField(sample_window=5)
+FIELDS = [GF31, GF61, QQ]
+IDS = ["GF31-int64", "GF61-object", "QQ"]
+
+
+def _unit(width: int, j: int) -> list:
+    e = [0] * width
+    e[j] = 1
+    return e
+
+
+def _column(m: Matrix, j: int) -> list:
+    return [row[j] for row in m.data]
+
+
+def _entry_type(field):
+    return Fraction if isinstance(field, RationalField) else int
+
+
+# ---------------------------------------------------------------------------
+# assembly
+
+
+@pytest.mark.parametrize("field", [GF31, GF61, QQ], ids=IDS)
+def test_assembly_matches_the_residual_column_by_column(field):
+    rng = SeededRng(80)
+    for n in range(1, 8):
+        sub = rng.substream(f"n={n}")
+        half = sample_half(sub, field, n)
+        fiber = fiber_from_vec(field, n, [field.sample(sub) for _ in range(n * (n + 3))])
+        width, rows = n * (n + 3), 3 * n * (n - 1) // 2
+        system = fiber_system(half)
+        jac = jacobian(SliceData(half, fiber))
+        assert system.shape == (rows, width) and jac.shape == (rows, 2 * width)
+        for j in range(width):
+            e = _unit(width, j)
+            fiber_col = vec_skew(residual(SliceData(half, fiber_from_vec(field, n, e))))
+            half_col = vec_skew(residual(SliceData(half_from_vec(field, n, e), fiber)))
+            assert _column(system, j) == fiber_col
+            assert _column(jac, width + j) == fiber_col
+            assert _column(jac, j) == half_col
+        kind = _entry_type(field)
+        assert all(type(x) is kind for m in (system, jac) for row in m.data for x in row)
+
+
+def test_each_sign_reaches_an_entry_at_most_once():
+    # the assembly writes each sign with one fancy-index update, which
+    # would drop a repeated entry
+    for n in range(1, 13):
+        for flat, coord in _fiber_index(n):
+            assert len(set(flat.tolist())) == flat.size
+            assert coord.max(initial=0) < n * (n + 3)
+
+
+# ---------------------------------------------------------------------------
+# batched ranks
+
+
+def _planted(field, n: int, rng: SeededRng) -> list[list]:
+    """Half vectors, generic ones between planted deficient ones."""
+    s = n * (n + 1) // 2
+    width = n * (n + 3)
+
+    def generic(label):
+        return vec_half(sample_half(rng.substream(label), field, n))
+
+    no_eq2 = generic("no-eq2")  # A2 = 0 and a2 = 0: equation 2 vanishes
+    no_eq2[s:2 * s] = [0] * s
+    no_eq2[2 * s + n:] = [0] * n
+    swap = generic("swap")  # L[0][0] = -A1_01 = 0: the first pivot needs a swap
+    swap[1 % s] = 0
+    sparse = [0] * width  # a1 ^ y alone: a low rank of its own
+    sparse[2 * s] = 1
+    halves = [generic("g0"), no_eq2, generic("g1"), [0] * width, swap, generic("g2"), sparse]
+    return [[field.coerce(x) for x in h] for h in halves]
+
+
+def _integer_stack(field, halves: list[list]) -> np.ndarray:
+    if isinstance(field, RationalField):
+        return np.array([[int(x) for x in h] for h in halves], dtype=object)
+    return np.array(halves, dtype=np.int64 if field.p < 2**31 else object)
+
+
+def _expected_ranks(field, n: int, halves: list[list]) -> list[int]:
+    return [rank(fiber_system(half_from_vec(field, n, h))) for h in halves]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 9])
+def test_batched_ranks_equal_rank_trial_by_trial(field, n):
+    halves = _planted(field, n, SeededRng(81))
+    ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
+    expected = _expected_ranks(field, n, halves)
+    assert ranks == expected
+    if n >= 4:
+        assert len(set(expected)) >= 4  # the stack ends at different ranks
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_batched_ranks_across_chunk_boundaries(field, monkeypatch):
+    n = 5
+    rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
+    halves = _planted(field, n, SeededRng(82)) * 2  # 14 trials
+    monkeypatch.setattr(census_module, "_STACK_ENTRIES", 3 * rows * width)  # chunks 3, 3, ..., 2
+    ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
+    assert ranks == _expected_ranks(field, n, halves)
+
+
+def test_rational_ranks_look_past_an_unlucky_image():
+    # coordinates that are multiples of the first prime vanish mod p, where
+    # every rank is 0; over QQ the halves are generic
+    n = 8
+    rng = SeededRng(88)
+    halves = [[x * P31 for x in vec_half(sample_half(rng.substream(f"t={t}"), QQ, n))]
+              for t in range(2)]
+    ranks, _ = _census_ranks(QQ, n, _integer_stack(QQ, halves), False)
+    assert ranks == _expected_ranks(QQ, n, halves) == [n * (n + 3) - 4] * 2
+    assert _census_ranks(QQ, n, _integer_stack(QQ, halves), True) == (ranks, [4, 4])
+
+
+def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
+    n = 10  # 135 x 130: more than 2 * _PANEL rows and columns
+    halves = _planted(GF31, n, SeededRng(83))[:3]
+    expected = _expected_ranks(GF31, n, halves)
+    calls = []
+    rref_mod = linalg._rref_mod
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return rref_mod(a, p)
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    ranks, _ = _census_ranks(GF31, n, _integer_stack(GF31, halves), False)
+    assert ranks == expected
+    assert calls == [(135, 130)] * 3
+    calls.clear()
+    _census_ranks(GF31, 9, _integer_stack(GF31, _planted(GF31, 9, SeededRng(83))), False)
+    assert calls == []  # 108 x 108 stays batched
+
+
+def test_ranks_mod_on_low_rank_products():
+    # random products of known rank, tall and wide, int64 and Python ints
+    gen = np.random.default_rng(84)
+    for m, w in [(6, 9), (9, 6), (7, 7), (1, 5), (5, 1)]:
+        stack, expected = [], []
+        for k in range(min(m, w) + 1):
+            a = gen.integers(-3, 4, size=(m, k)) @ gen.integers(-3, 4, size=(k, w))
+            stack.append(a % P31)
+            expected.append(rank(Matrix(GF31, a.tolist(), w)))
+        stack = np.array(stack, dtype=np.int64)
+        assert _ranks_mod(stack.astype(object), P31) == expected
+        assert _ranks_mod(stack, P31) == expected
+
+
+# ---------------------------------------------------------------------------
+# family verdict
+
+
+def _oracle_family(half) -> bool:
+    """The census's family check before the rank verdict: the kernel basis
+    spans the canonical solutions."""
+    basis = kernel_basis(fiber_system(half))
+    canonical = [vec_fiber(f) for f in canonical_fiber_solutions(half)]
+    return len(basis) == 4 and spans_match(half.field, basis, canonical, half.n * (half.n + 3))
+
+
+def _family_verdicts(field, n: int, halves: list[list]) -> list[bool]:
+    ranks, independent = _census_ranks(field, n, _integer_stack(field, halves), True)
+    return [r == n * (n + 3) - 4 and k == 4 for r, k in zip(ranks, independent)]
+
+
+@pytest.mark.parametrize("field", [GF31, QQ], ids=["GF31", "QQ"])
+def test_family_verdict_matches_kernel_span_on_planted_halves(field):
+    n = 8
+    s = n * (n + 1) // 2
+    diag = [k for k, (i, j) in enumerate(sym_index(n)) if i == j]
+    rng = SeededRng(85)
+    base = [vec_half(sample_half(rng.substream(f"t={t}"), field, n)) for t in range(4)]
+    no_vectors = list(base[0])  # a1 = a2 = 0: the fourth canonical solution is zero
+    no_vectors[2 * s:] = [0] * (2 * n)
+    no_matrices = list(base[1])  # A1 = A2 = 0
+    no_matrices[:2 * s] = [0] * (2 * s)
+    scalar = list(base[2])  # A1 = 3 I
+    scalar[:s] = [3 if k in diag else 0 for k in range(s)]
+    halves = [[field.coerce(x) for x in h] for h in (no_vectors, base[3], no_matrices, scalar)]
+    oracle = [_oracle_family(half_from_vec(field, n, h)) for h in halves]
+    assert oracle == [False, True, False, False]
+    assert _family_verdicts(field, n, halves) == oracle
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+def test_family_verdict_matches_kernel_span_on_generic_halves(n):
+    rng = SeededRng(86)
+    halves = [vec_half(sample_half(rng.substream(f"t={t}"), GF31, n)) for t in range(2)]
+    oracle = [_oracle_family(half_from_vec(GF31, n, h)) for h in halves]
+    assert oracle == [True, True]
+    assert _family_verdicts(GF31, n, halves) == oracle
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_census_stacks_stay_within_the_entry_budget(monkeypatch):
+    shapes = []
+
+    def recorded(a, p):
+        shapes.append((a.shape, a.dtype))
+        return _ranks_mod(a, p)
+
+    monkeypatch.setattr(census_module, "_ranks_mod", recorded)
+    for n in range(4, 9):
+        fiber_census(n, 100, SeededRng(87), GF31)
+    assert all(np.prod(shape) <= _STACK_ENTRIES for shape, _ in shapes)
+    assert all(dtype == np.int64 for _, dtype in shapes)
+    assert sum(shape[1:] == (84, 88) for shape, _ in shapes) > 1  # n = 8 runs in chunks
+    assert sum(shape[0] for shape, _ in shapes) == 500
+    shapes.clear()
+    fiber_census(8, 3, SeededRng(87), GF61, check_family=True)
+    assert [dtype for _, dtype in shapes] == [object, object]

@@ -1,10 +1,11 @@
 """Golden certificates: sha256 of the CLI's standard output for fixed seeds.
 
-Together the commands cover the one elimination on both of its numpy
-dtypes, int64 for GF(2^31 - 1) and Python ints for a prime past 2^31, and
-over the rationals, where it is rebuilt from GF(p) images; the witness runs
-once over QQ and once over GF(2^31 - 1).  A change that alters a single
-stdout byte (certificate layout, draw order, kernel basis) fails here.
+Together the commands cover the RREF and the census's batched rank
+elimination on both numpy dtypes, int64 for GF(2^31 - 1) and Python ints
+for a prime past 2^31, and over the rationals, where both run on GF(p)
+images; the witness runs once over QQ and once over GF(2^31 - 1).  A change
+that alters a single stdout byte (certificate layout, draw order, kernel
+basis, a rank) fails here.
 """
 
 import hashlib
@@ -30,6 +31,19 @@ GOLDEN = [
      "48ff23c6072b8ed79c4c9503db164ee77707fd33c131a6d0f57d27d364801bed"),
     ("census --n-min 2 --n-max 4 --trials 3 --prime rational --window 5 --seed 2",
      "0fc44b9baca97fd61d5fbda68a1ef241a6e2845cc5aa6160bc5ad63b49515549"),
+    # batched census edges: n = 1 (no equation rows), n = 9 (108 x 108 stacks),
+    # n = 10 (one matrix at a time) and a trial count no chunk divides
+    ("census --n-min 1 --n-max 10 --trials 7 --seed 4",
+     "bbba903038915c2bc58032463a97b4adddd05a9c2fb9c7ac5cc2603a896825f2"),
+    # Python-int (dtype=object) stacks
+    ("census --n-min 1 --n-max 9 --trials 3 --prime 2305843009213693951 --seed 4",
+     "68c055f8bb30c4de1cf88e01c17aea74e67c3d9cba45eb9d128e987fd64c20a2"),
+    # a QQ census whose systems are not of full rank (n = 8, 9)
+    ("census --n-min 7 --n-max 9 --trials 4 --prime rational --window 1 --seed 5",
+     "afb6433a93eb7b7772448e4002943cb07646faaa8a0d69ccb37619b65cb6fe96"),
+    # the family verdict over QQ
+    ("family --n-min 8 --n-max 10 --trials 3 --prime rational --window 2 --seed 6",
+     "d9511cf662dd150ab3760246542115baefff713cbe98afa2b5e9ba5b9cd9d11e"),
 ]
 
 
