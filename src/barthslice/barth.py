@@ -290,48 +290,54 @@ def half_from_vec(field: Field, n: int, v: list) -> HalfData:
 # The linear fiber system
 
 
-# one charge at a time: the census runs n by n, and the arrays grow as n**3
-# (0.9 MB at n = 24)
+def _place(local: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Block-local indices (vech(.) then the vector index offset by s) in
+    block b of a pair layout, which holds the matrix at b * s and the vector
+    at 2s + b * n."""
+    s = n * (n + 1) // 2
+    return np.where(local < s, local + b * s, local - s + 2 * s + b * n)
+
+
+# one charge at a time: the census runs n by n
+@lru_cache(maxsize=1)
+def _block_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Index arrays of one block L(Y, y) = [X, Y] + x ^ y as a function of
+    (vech X, x): (row, col, coord) for the terms +coord and for the terms
+    -coord, cols and coords block-local (vech(.) then the vector index
+    offset by s).
+
+    Row r = (i, j), i < j, has the terms +X_ik at Y_kj and +x_i at y_j, and
+    -X_kj at Y_ik and -x_j at y_i, over the (r, k) grid.  Within one sign no
+    two terms share an entry (only X_ii - X_jj at Y_ij meet, with opposite
+    signs), so each sign is assembled by one fancy-index update.
+    """
+    s = n * (n + 1) // 2
+    vech = np.empty((n, n), dtype=np.intp)  # vech[a, b] = vech[b, a]: position in sym_index
+    a, b = np.array(sym_index(n), dtype=np.intp).T
+    vech[a, b] = vech[b, a] = np.arange(s)
+    i, j = np.array(skew_index(n), dtype=np.intp).reshape(-1, 2).T
+    rows, k = np.arange(i.size), np.arange(n)
+    r = np.concatenate([np.repeat(rows, n), rows])
+    ik = np.concatenate([vech[i[:, None], k].ravel(), s + i])
+    kj = np.concatenate([vech[k, j[:, None]].ravel(), s + j])
+    return (r, kj, ik), (r, ik, kj)
+
+
+# the full system's arrays grow as n**3 (0.9 MB at n = 24)
 @lru_cache(maxsize=1)
 def _fiber_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Index arrays of L = sum_k h_k E_k, the fiber system as a function of
     the half coordinates h (vec_half order): (flat, coord) pairs for the
     terms +h[coord] and for the terms -h[coord], flat = row * n(n+3) + col.
-
-    One block L(Y, y) = [X, Y] + x ^ y has, in row (i, j), the terms
-    +X_ik at Y_kj and +x_i at y_j, and -X_kj at Y_ik and -x_j at y_i.  Within
-    one sign no two terms share an entry (only X_ii - X_jj at Y_ij meet, with
-    opposite signs), so each sign is assembled by one fancy-index update.
-    The block sits four times in [[L1, 0], [0, L2], [L2, L1]].
-    """
-    s, p = n * (n + 1) // 2, n * (n - 1) // 2
-    width = n * (n + 3)
-    pos = {ij: k for k, ij in enumerate(sym_index(n))}
-
-    def vech(i, j):
-        return pos[(i, j) if i <= j else (j, i)]
-
-    # block-local terms (row, col, coord); cols and coords are vech(.) then
-    # the vector index offset by s
-    plus, minus = [], []
-    for r, (i, j) in enumerate(skew_index(n)):
-        for k in range(n):
-            plus.append((r, vech(k, j), vech(i, k)))
-            minus.append((r, vech(i, k), vech(k, j)))
-        plus.append((r, s + j, s + i))
-        minus.append((r, s + i, s + j))
-    # (row offset, half block of X, fiber block of Y); block b of a pair
-    # layout holds the matrix at b * s and the vector at 2s + b * n
+    They are `_block_index`'s, placed four times as the blocks of
+    [[L1, 0], [0, L2], [L2, L1]]."""
+    p, width = n * (n - 1) // 2, n * (n + 3)
+    # (row offset, half block of X, fiber block of Y)
     placements = ((0, 0, 0), (p, 1, 1), (2 * p, 1, 0), (2 * p, 0, 1))
-
-    def place(local, b):
-        return np.where(local < s, local + b * s, local - s + 2 * s + b * n)
-
     out = []
-    for terms in (plus, minus):
-        r, c, h = np.array(terms, dtype=np.intp).reshape(-1, 3).T
-        flat = np.concatenate([(r + dr) * width + place(c, bf) for dr, _, bf in placements])
-        coord = np.concatenate([place(h, bh) for _, bh, _ in placements])
+    for r, c, h in _block_index(n):
+        flat = np.concatenate([(r + dr) * width + _place(c, bf, n) for dr, _, bf in placements])
+        coord = np.concatenate([_place(h, bh, n) for _, bh, _ in placements])
         out.append((flat, coord))
     return tuple(out)
 
@@ -349,6 +355,18 @@ def _fiber_stack(n: int, h: np.ndarray, zero=0, negate: bool = False) -> np.ndar
     out[:, pf] = h[:, pc]
     out[:, mf] -= h[:, mc]
     return out.reshape(h.shape[0], rows, width)
+
+
+def _fiber_blocks(n: int, h: np.ndarray) -> np.ndarray:
+    """The blocks L1 = L(A1, a1) and L2 = L(A2, a2) of one half vector h, as
+    a (2, n(n-1)/2, n(n+3)/2) array of h's dtype over block-local columns
+    (vech Y, y); not reduced, like `_fiber_stack`, and without the whole L."""
+    (pr, pc, ph), (mr, mc, mh) = _block_index(n)
+    out = np.zeros((2, n * (n - 1) // 2, n * (n + 3) // 2), dtype=h.dtype)
+    for b, block in enumerate(out):
+        block[pr, pc] = h[_place(ph, b, n)]
+        block[mr, mc] -= h[_place(mh, b, n)]
+    return out
 
 
 def _system_array(field: Field, n: int, vec: list, negate: bool = False) -> np.ndarray:

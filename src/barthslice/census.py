@@ -22,6 +22,7 @@ from .barth import (
     HalfData,
     SliceData,
     _canonical_stack,
+    _fiber_blocks,
     _fiber_stack,
     fiber_from_vec,
     fiber_system,
@@ -31,8 +32,8 @@ from .barth import (
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field, PrimeField
-from .linalg import (_FAST_PRIME_LIMIT, _STACK_ENTRIES, Matrix, _cleared_int_rows,
-                     _has_fast_path, _primes, _ranks_mod, kernel_basis, rank)
+from .linalg import (_FAST_PRIME_LIMIT, _PANEL, _STACK_ENTRIES, Matrix, _block_rank_mod,
+                     _cleared_int_rows, _has_fast_path, _primes, _ranks_mod, kernel_basis, rank)
 from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -259,33 +260,47 @@ def _census_halves(rng: SeededRng, field: Field, n: int, trials: int) -> np.ndar
 
 
 def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tuple[list, list]:
-    """Exact ranks of L, and with check_family of the four canonical
-    solutions, for each half row of the integer stack `h`.
+    """Exact ranks of L, and with check_family (or over QQ) of the four
+    canonical solutions, for each half row of the integer stack `h`.
 
     Trials are eliminated mod p in stacks of at most _STACK_ENTRIES entries.
-    Over QQ, p is the first prime of the QQ elimination; a rank mod p is at
-    most the rank over QQ, so only a trial short of full rank there is
-    ranked again, exactly, by `rank`.
+    Systems with more than 2 * _PANEL rows and columns (n >= 10) are ranked
+    one at a time by their blocks L1, L2 (`_block_rank_mod`), and the whole L
+    is never built.  Over QQ, p is the first prime of the QQ elimination.
+    The canonical solutions lie in ker L over QQ, and a rank mod p is at most
+    the rank over QQ, so
+
+        rank_p L <= rank L <= width - rank C <= width - rank_p C
+
+    for their matrix C: a trial with rank_p L + rank_p C == width, or of full
+    rank mod p, is settled, and only the others are ranked again, exactly,
+    by `rank`.
     """
     rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
-    p = field.p if isinstance(field, PrimeField) else next(_primes())
+    prime = isinstance(field, PrimeField)
+    p = field.p if prime else next(_primes())
     residues = (h % p).astype(np.int64 if p < _FAST_PRIME_LIMIT else object)
     step = max(1, _STACK_ENTRIES // max(1, rows * width))
     ranks, independent = [], []
     for lo in range(0, len(h), step):
         chunk = residues[lo:lo + step]
-        stack = _fiber_stack(n, chunk)
-        stack %= p
-        ranks += _ranks_mod(stack, p)
-        if check_family:
+        if min(rows, width) > 2 * _PANEL:
+            ranks += [_block_rank_mod(*(_fiber_blocks(n, x) % p), p) for x in chunk]
+        else:
+            stack = _fiber_stack(n, chunk)
+            stack %= p
+            ranks += _ranks_mod(stack, p)
+        if check_family or not prime:
             independent += _ranks_mod(_canonical_stack(n, chunk), p)
-    if not isinstance(field, PrimeField):
+    if not prime:
         for t, row in enumerate(h.tolist()):
-            if ranks[t] < min(rows, width) or (check_family and independent[t] < 4):
+            if ranks[t] + independent[t] == width:
+                continue
+            if ranks[t] < min(rows, width):
                 ranks[t] = rank(fiber_system(half_from_vec(field, n, row)))
-                if check_family:
-                    canonical = _canonical_stack(n, h[t:t + 1])[0].tolist()
-                    independent[t] = rank(Matrix(field, canonical, width))
+            if check_family and independent[t] < 4:
+                canonical = _canonical_stack(n, h[t:t + 1])[0].tolist()
+                independent[t] = rank(Matrix(field, canonical, width))
     return ranks, independent
 
 

@@ -20,7 +20,8 @@ canonical form.  Elimination is mod p on numpy:
   until the kernel of the candidate annihilates them exactly (see below);
 * for stacks of small matrices whose ranks alone are needed (the census),
   `_ranks_mod` eliminates the whole stack at once, forward only, on the
-  same dtypes.
+  same dtypes; a large matrix of block form [[L1, 0], [0, L2], [L2, L1]]
+  is ranked by its blocks (`_block_rank_mod`).
 
 The pivot rule is fixed: first nonzero entry, top to bottom.  The reduced
 row echelon form is unique whatever the pivot order, blocking or primes, so
@@ -352,6 +353,46 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _free_kernel(a: np.ndarray, pivots: list[int], zero=0, one=1) -> np.ndarray:
+    """Kernel basis of a reduced row echelon form `a` with pivot columns
+    `pivots`, as the columns of a (cols, cols - rank) array of a's dtype:
+    one column per free column f, in increasing order, `one` at f, -a[i][f]
+    at the i-th pivot column and `zero` elsewhere.  Not reduced: over GF(p)
+    take it mod p."""
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    k = np.full((a.shape[1], free.size), zero, dtype=a.dtype)
+    k[free, np.arange(free.size)] = one
+    k[pivots] = -a[:len(pivots), free]
+    return k
+
+
+def _block_rank_mod(l1: np.ndarray, l2: np.ndarray, p: int) -> int:
+    """Rank mod p of L = [[L1, 0], [0, L2], [L2, L1]] for L1 and L2 of one
+    shape, entries in [0, p), without forming L.
+
+    ker L = {(x, y) : L1 x = 0, L2 y = 0, L2 x + L1 y = 0}.  With K_i the
+    free-column kernel basis of L_i, the first two equations say x = K1 u
+    and y = K2 v for unique u and v, and the third then says M (u, v) = 0
+    for M = [L2 K1 | L1 K2].  So (u, v) -> (K1 u, K2 v) maps ker M one to
+    one onto ker L, and counting dimensions (dim ker L_i = cols - rank L_i
+    columns of K_i) gives
+
+        rank L = rank L1 + rank L2 + rank M.
+
+    Nothing here but linear algebra over a field, so the identity holds mod
+    every p, and with it every rank the census reads off L.  For the fiber
+    system at n = 24 it replaces one 828 x 648 elimination by two of
+    276 x 324 and one of the 276 x 96 matrix M.
+    """
+    r1, p1 = _rref_mod(l1, p)
+    r2, p2 = _rref_mod(l2, p)
+    m = np.concatenate([_matmul_mod(l2, _free_kernel(r1, p1) % p, p),
+                        _matmul_mod(l1, _free_kernel(r2, p2) % p, p)], axis=1)
+    return len(p1) + len(p2) + _ranks_mod(m[None], p)[0]
+
+
 def _inverses_mod(x: np.ndarray, p: int) -> np.ndarray:
     """Inverses mod p of the residues in x, 0 for 0, with a single modular
     inverse (Montgomery's trick): invert the product of the nonzero entries,
@@ -489,7 +530,7 @@ def _kernel_annihilated(ints: np.ndarray, pivots: list, free: list, d: int, num:
     return np.array_equal(ints[:, free] * d, ints[:, pivots] @ num)
 
 
-def _rref_qq(m: Matrix) -> tuple[Matrix, list[int]]:
+def _rref_qq(m: Matrix) -> tuple[np.ndarray, list[int]]:
     """Images with the most, lexicographically least pivots win (none beats QQ) and
     are combined; reconstruct after 1, 2, 4, ... of them until the check passes."""
     ints = _cleared_int_rows(m)
@@ -514,15 +555,21 @@ def _rref_qq(m: Matrix) -> tuple[Matrix, list[int]]:
     out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
     out[:len(best), free] = num * Fraction(1, d)
     out[range(len(best)), best] = Fraction(1)
-    return Matrix._raw(m.field, out.tolist(), m.cols), best
+    return out, best
+
+
+def _rref_array(m: Matrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form as an array of canonical entries (residues,
+    or Fractions), and its pivot columns."""
+    if isinstance(m.field, PrimeField):
+        return _rref_mod(_to_np(m), m.field.p)
+    return _rref_qq(m)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns (both canonical)."""
-    if isinstance(m.field, PrimeField):
-        arr, pivots = _rref_mod(_to_np(m), m.field.p)
-        return _from_np(m.field, arr), pivots
-    return _rref_qq(m)
+    arr, pivots = _rref_array(m)
+    return _from_np(m.field, arr), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -532,7 +579,7 @@ def rank(m: Matrix) -> int:
         _, _, pivots = next(_images(_cleared_int_rows(m)))
         if len(pivots) == min(m.rows, m.cols):
             return len(pivots)
-    return len(rref(m)[1])
+    return len(_rref_array(m)[1])
 
 
 def kernel_basis(m: Matrix) -> list[list]:
@@ -546,19 +593,10 @@ def kernel_basis(m: Matrix) -> list[list]:
     iff the returned bases are equal.
     """
     field = m.field
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    z, o = field.zero(), field.one()
-    neg = field.neg
-    vectors = []
-    for f in free:
-        v = [z] * m.cols
-        v[f] = o
-        for i, pc in enumerate(pivots):
-            v[pc] = neg(r.data[i][f])
-        vectors.append(v)
-    return vectors
+    k = _free_kernel(*_rref_array(m), field.zero(), field.one())
+    if isinstance(field, PrimeField):
+        k %= field.p
+    return k.T.tolist()
 
 
 def inverse(m: Matrix) -> Matrix:

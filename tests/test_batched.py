@@ -8,6 +8,11 @@
   trial over GF(2^31 - 1) (int64 stacks), GF(2^61 - 1) (Python-int stacks)
   and QQ, on stacks that mix generic halves with planted deficient ones in
   one chunk, and across chunk boundaries;
+* block ranks: past two panels (n >= 10) `_census_ranks` ranks L by its
+  blocks L1, L2, and equals `rank(fiber_system(half))` on halves planted so
+  that either block, both or neither vanish;
+* over QQ, a trial whose rank mod p and canonical solutions add up to the
+  width is settled without an exact `rank`;
 * the family verdict (dim 4 and the four canonical solutions independent)
   equals the kernel-span comparison it replaced, kept here as the oracle;
 * no stack the census eliminates holds more than `_STACK_ENTRIES` entries.
@@ -167,10 +172,53 @@ def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_mod", counted)
     ranks, _ = _census_ranks(GF31, n, _integer_stack(GF31, halves), False)
     assert ranks == expected
-    assert calls == [(135, 130)] * 3
+    assert calls == [(45, 65)] * 6  # the blocks L1 and L2 of each trial, never L
     calls.clear()
     _census_ranks(GF31, 9, _integer_stack(GF31, _planted(GF31, 9, SeededRng(83))), False)
     assert calls == []  # 108 x 108 stays batched
+
+
+def _planted_blocks(field, n: int, rng: SeededRng) -> list[list]:
+    """Generic halves between halves with A2 = 0 and a2 = 0 (L2 = 0, so
+    K2 = I), A1 = 3 I and a1 = 0 (L1 = 0), all zero, and a1 = a2 = 0."""
+    s = n * (n + 1) // 2
+    diag = [k for k, (i, j) in enumerate(sym_index(n)) if i == j]
+    no_eq1 = vec_half(sample_half(rng.substream("no-eq1"), field, n))
+    no_eq1[:s] = [3 if k in diag else 0 for k in range(s)]
+    no_eq1[2 * s:2 * s + n] = [0] * n
+    no_vectors = vec_half(sample_half(rng.substream("no-vectors"), field, n))
+    no_vectors[2 * s:] = [0] * (2 * n)
+    return _planted(field, n, rng)[:4] + [[field.coerce(x) for x in h] for h in (no_eq1, no_vectors)]
+
+
+@pytest.mark.parametrize("field, n", [(GF31, 10), (GF31, 11), (GF31, 12), (GF31, 17),
+                                      (GF61, 10), (GF61, 11)],
+                         ids=["GF31-10", "GF31-11", "GF31-12", "GF31-17", "GF61-10", "GF61-11"])
+def test_block_ranks_equal_rank_trial_by_trial(field, n):
+    halves = _planted_blocks(field, n, SeededRng(89))
+    ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
+    expected = _expected_ranks(field, n, halves)
+    assert ranks == expected
+    assert len(set(expected)) >= 4
+
+
+def test_rational_trials_are_settled_by_the_canonical_solutions(monkeypatch):
+    n = 8
+    s = n * (n + 1) // 2
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(census_module, "rank", counted)
+    generic = vec_half(sample_half(SeededRng(90), QQ, n))
+    assert _census_ranks(QQ, n, _integer_stack(QQ, [generic]), True) == ([n * (n + 3) - 4], [4])
+    assert calls == []  # rank mod p + 4 == width settles the trial
+    no_vectors = generic[:2 * s] + [Fraction(0)] * (2 * n)  # the fourth solution is zero
+    ranks, independent = _census_ranks(QQ, n, _integer_stack(QQ, [no_vectors]), True)
+    assert calls
+    assert (ranks, independent) == (_expected_ranks(QQ, n, [no_vectors]), [3])
 
 
 def test_ranks_mod_on_low_rank_products():

@@ -44,6 +44,14 @@ GOLDEN = [
     # the family verdict over QQ
     ("family --n-min 8 --n-max 10 --trials 3 --prime rational --window 2 --seed 6",
      "d9511cf662dd150ab3760246542115baefff713cbe98afa2b5e9ba5b9cd9d11e"),
+    # systems ranked by blocks (n >= 10): on Python ints, with a block L1
+    # (136 x 170 at n = 17) wide enough for the blocked elimination, and over QQ
+    ("census --n-min 10 --n-max 11 --trials 2 --prime 2305843009213693951 --seed 7",
+     "6d0d2d160dcda8195f38076398962b7c54f2f1ff981999c70edf7b5ae7cfbc41"),
+    ("family --n-min 17 --n-max 18 --trials 1 --seed 8",
+     "9eadc17a4d255379fbbf59a81abff9ce3fb2a476e16eafd028308ed685396042"),
+    ("family --n-min 10 --n-max 11 --trials 2 --prime rational --window 1 --seed 9",
+     "517801eb59badd148b0026d3aa7c2a98c407466f5da7cbd7b8e981f4ac96b62f"),
 ]
 
 
