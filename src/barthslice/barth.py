@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DomainError, InvariantError, SamplingError, ShapeError
 from .fields import Field, PrimeField
-from .linalg import Matrix, _has_fast_path, inverse, matvec
+from .linalg import Matrix, _from_np, _residues, inverse, matvec
 
 # numpy after .linalg, which loads it too: with no bytecode cache, compiling
 # linalg.py before numpy is resident keeps the CLI's peak RSS 0.5 MB lower
@@ -323,57 +323,45 @@ def _block_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return (r, kj, ik), (r, ik, kj)
 
 
-# the full system's arrays grow as n**3 (0.9 MB at n = 24)
-@lru_cache(maxsize=1)
-def _fiber_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Index arrays of L = sum_k h_k E_k, the fiber system as a function of
-    the half coordinates h (vec_half order): (flat, coord) pairs for the
-    terms +h[coord] and for the terms -h[coord], flat = row * n(n+3) + col.
-    They are `_block_index`'s, placed four times as the blocks of
-    [[L1, 0], [0, L2], [L2, L1]]."""
-    p, width = n * (n - 1) // 2, n * (n + 3)
-    # (row offset, half block of X, fiber block of Y)
-    placements = ((0, 0, 0), (p, 1, 1), (2 * p, 1, 0), (2 * p, 0, 1))
-    out = []
-    for r, c, h in _block_index(n):
-        flat = np.concatenate([(r + dr) * width + _place(c, bf, n) for dr, _, bf in placements])
-        coord = np.concatenate([_place(h, bh, n) for _, bh, _ in placements])
-        out.append((flat, coord))
-    return tuple(out)
-
-
-def _fiber_stack(n: int, h: np.ndarray, zero=0, negate: bool = False) -> np.ndarray:
-    """Fiber systems L(h) of a (trials, n(n+3)) stack of half vectors, as a
-    (trials, 3n(n-1)/2, n(n+3)) stack of h's dtype; entries are signed sums
-    of at most two coordinates, not reduced.  `zero` fills the entries no
-    term reaches; `negate` gives -L(h)."""
-    (pf, pc), (mf, mc) = _fiber_index(n)
-    if negate:
-        (pf, pc), (mf, mc) = (mf, mc), (pf, pc)
-    rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
-    out = np.full((h.shape[0], rows * width), zero, dtype=h.dtype)
-    out[:, pf] = h[:, pc]
-    out[:, mf] -= h[:, mc]
-    return out.reshape(h.shape[0], rows, width)
-
-
-def _fiber_blocks(n: int, h: np.ndarray) -> np.ndarray:
-    """The blocks L1 = L(A1, a1) and L2 = L(A2, a2) of one half vector h, as
-    a (2, n(n-1)/2, n(n+3)/2) array of h's dtype over block-local columns
-    (vech Y, y); not reduced, like `_fiber_stack`, and without the whole L."""
+def _fiber_blocks(n: int, h: np.ndarray, zero=0) -> np.ndarray:
+    """The blocks L1 = L(A1, a1) and L2 = L(A2, a2) of each half vector in a
+    (trials, n(n+3)) stack h, as a (trials, 2, n(n-1)/2, n(n+3)/2) stack of
+    h's dtype over block-local columns (vech Y, y); entries are signed sums
+    of at most two coordinates, not reduced, and `zero` fills the entries
+    no term reaches."""
+    out = np.full((h.shape[0], 2, n * (n - 1) // 2, n * (n + 3) // 2), zero, dtype=h.dtype)
     (pr, pc, ph), (mr, mc, mh) = _block_index(n)
-    out = np.zeros((2, n * (n - 1) // 2, n * (n + 3) // 2), dtype=h.dtype)
-    for b, block in enumerate(out):
-        block[pr, pc] = h[_place(ph, b, n)]
-        block[mr, mc] -= h[_place(mh, b, n)]
+    for b in (0, 1):
+        out[:, b, pr, pc] = h[:, _place(ph, b, n)]
+        out[:, b, mr, mc] -= h[:, _place(mh, b, n)]
     return out
 
 
-def _system_array(field: Field, n: int, vec: list, negate: bool = False) -> np.ndarray:
-    """L(vec) (or -L(vec)) as one array of canonical field entries."""
-    h = np.array([vec], dtype=np.int64 if _has_fast_path(field) else object)
-    a = _fiber_stack(n, h, field.zero(), negate)[0]
-    return a % field.p if isinstance(field, PrimeField) else a
+def _fiber_stack(n: int, blocks: np.ndarray, zero=0) -> np.ndarray:
+    """The fiber systems L = [[L1, 0], [0, L2], [L2, L1]] of a stack of
+    blocks from `_fiber_blocks`, as a (trials, 3n(n-1)/2, n(n+3)) stack of
+    their dtype in vec_fiber column order; `zero` fills the zero blocks."""
+    trials, _, q, w = blocks.shape
+    cols = [_place(np.arange(w), b, n) for b in (0, 1)]
+    out = np.full((trials, 3 * q, n * (n + 3)), zero, dtype=blocks.dtype)
+    # (equation, fiber block (B_b, b_b), block L_i)
+    for e, b, i in ((0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)):
+        out[:, e * q:(e + 1) * q, cols[b]] = blocks[:, i]
+    return out
+
+
+def _system_array(field: Field, n: int, vecs: list) -> np.ndarray:
+    """L(v) for each vector v (vec_half order) of `vecs`, as a stack over
+    the field's integers (`_residues`) or Fractions; not reduced."""
+    h = np.array(vecs, dtype=object)
+    if isinstance(field, PrimeField):
+        h = _residues(h, field.p)
+    return _fiber_stack(n, _fiber_blocks(n, h, field.zero()), field.zero())
+
+
+def _to_matrix(field: Field, a: np.ndarray) -> Matrix:
+    """`a` as a Matrix of canonical entries: reduced mod p over GF(p)."""
+    return _from_np(field, a % field.p if isinstance(field, PrimeField) else a)
 
 
 def fiber_system(half: HalfData) -> Matrix:
@@ -382,12 +370,11 @@ def fiber_system(half: HalfData) -> Matrix:
     L has 3n(n-1)/2 rows and n(n+3) columns and satisfies
     vec_skew(residual(half, f)) = L @ vec_fiber(f) for every FiberData f.
     In block form L = [[L1, 0], [0, L2], [L2, L1]] over (B1, b1), (B2, b2),
-    where L_i(B, b) = [A_i, B] + a_i ^ b.  L is linear in the half:
-    L = sum_k h_k E_k over h = vec_half(half), assembled from the index
-    arrays of the E_k.
+    where L_i(B, b) = [A_i, B] + a_i ^ b: the blocks come from one index
+    table of L(Y, y) = [X, Y] + x ^ y (`_block_index`), filled with (A_i,
+    a_i), and are laid out in vec_fiber column order.
     """
-    a = _system_array(half.field, half.n, vec_half(half))
-    return Matrix._raw(half.field, a.tolist(), a.shape[1])
+    return _to_matrix(half.field, _system_array(half.field, half.n, [vec_half(half)])[0])
 
 
 def canonical_fiber_solutions(half: HalfData) -> list[FiberData]:
@@ -398,15 +385,8 @@ def canonical_fiber_solutions(half: HalfData) -> list[FiberData]:
     residual vanish identically; this is asserted.
     """
     n, field = half.n, half.field
-    eye = Matrix.identity(field, n)
-    zero = Matrix.zeros(field, n, n)
-    zv = tuple(field.zero() for _ in range(n))
-    sols = [
-        FiberData(eye, zero, zv, zv),
-        FiberData(zero, eye, zv, zv),
-        FiberData(half.A1, half.A2, zv, zv),
-        FiberData(zero, zero, half.a1, half.a2),
-    ]
+    rows = _canonical_stack(n, np.array([vec_half(half)], dtype=object))[0].tolist()
+    sols = [fiber_from_vec(field, n, row) for row in rows]
     for f in sols:
         if not residual(SliceData(half, f)).is_zero():
             raise InvariantError("canonical fiber solution has nonzero residual")
@@ -539,9 +519,9 @@ def jacobian(x: SliceData) -> Matrix:
     Shape (3n(n-1)/2) x 2n(n+3), half-block columns first.  By bilinearity
     the fiber block is fiber_system(x.half).  The half block is the same
     system with (B, b) frozen instead, negated: [X, Y] + x ^ y changes sign
-    when (X, x) and (Y, y) swap, so it is -L(vec_fiber(x.fiber)).
+    when (X, x) and (Y, y) swap, so it is -L(vec_fiber(x.fiber)), built as
+    L(-vec_fiber(x.fiber)).
     """
-    field, n = x.field, x.n
-    a = np.hstack([_system_array(field, n, vec_fiber(x.fiber), negate=True),
-                   _system_array(field, n, vec_half(x.half))])
-    return Matrix._raw(field, a.tolist(), a.shape[1])
+    minus_fiber = [x.field.neg(c) for c in vec_fiber(x.fiber)]
+    systems = _system_array(x.field, x.n, [minus_fiber, vec_half(x.half)])
+    return _to_matrix(x.field, np.hstack([*systems]))

@@ -29,11 +29,12 @@ from .barth import (
     half_from_vec,
     jacobian,
     residual,
+    vec_half,
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field, PrimeField
-from .linalg import (_FAST_PRIME_LIMIT, _PANEL, _STACK_ENTRIES, Matrix, _block_rank_mod,
-                     _cleared_int_rows, _has_fast_path, _primes, _ranks_mod, kernel_basis, rank)
+from .linalg import (_PANEL, _STACK_ENTRIES, Matrix, _block_rank_mod, _cleared_int_rows, _primes,
+                     _ranks_mod, _residues, kernel_basis, rank)
 from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -246,27 +247,32 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
 
 def _census_halves(rng: SeededRng, field: Field, n: int, trials: int) -> np.ndarray:
     """Row t holds trial t's half coordinates, drawn by `_half_draws` from
-    substream census/n=../trial=t, as integers: residues over
-    GF(p) (int64 below 2**31, Python ints past it), and over QQ each row
-    cleared of denominators (Python ints), which scales L and the canonical
-    solutions without changing a rank."""
+    substream census/n=../trial=t, as integers: residues over GF(p)
+    (`_residues`), and over QQ each row cleared of denominators (Python
+    ints), which scales L and the canonical solutions without changing a
+    rank."""
     width = n * (n + 3)
-    prime = isinstance(field, PrimeField)
-    h = np.empty((trials, width), dtype=np.int64 if _has_fast_path(field) else object)
+    rows = []
     for trial in range(trials):
         draws = _half_draws(rng.substream(f"census/n={n}/trial={trial}"), field, n)
-        h[trial] = draws if prime else _cleared_int_rows(Matrix._raw(field, [draws], width))[0]
-    return h
+        if isinstance(field, PrimeField):
+            rows.append(_residues(np.array(draws, dtype=object), field.p))
+        else:
+            rows.append(_cleared_int_rows(Matrix._raw(field, [draws], width))[0])
+    return np.array(rows)
 
 
 def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tuple[list, list]:
     """Exact ranks of L, and with check_family (or over QQ) of the four
     canonical solutions, for each half row of the integer stack `h`.
 
-    Trials are eliminated mod p in stacks of at most _STACK_ENTRIES entries.
-    Systems with more than 2 * _PANEL rows and columns (n >= 10) are ranked
-    one at a time by their blocks L1, L2 (`_block_rank_mod`), and the whole L
-    is never built.  Over QQ, p is the first prime of the QQ elimination.
+    Trials are eliminated mod p in stacks of at most _STACK_ENTRIES entries
+    of L.  Each stack's blocks L1, L2 are built once (`_fiber_blocks`) and
+    reduced; systems with at most 2 * _PANEL rows or columns (n <= 9) are
+    laid out as L = [[L1, 0], [0, L2], [L2, L1]] (`_fiber_stack`) and
+    eliminated together, larger ones are ranked one at a time by their
+    blocks (`_block_rank_mod`), and the whole L is never built.  Over QQ, p
+    is the first prime of the QQ elimination.
     The canonical solutions lie in ker L over QQ, and a rank mod p is at most
     the rank over QQ, so
 
@@ -279,17 +285,17 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
     rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
     prime = isinstance(field, PrimeField)
     p = field.p if prime else next(_primes())
-    residues = (h % p).astype(np.int64 if p < _FAST_PRIME_LIMIT else object)
+    residues = _residues(h, p)
     step = max(1, _STACK_ENTRIES // max(1, rows * width))
     ranks, independent = [], []
     for lo in range(0, len(h), step):
         chunk = residues[lo:lo + step]
+        blocks = _fiber_blocks(n, chunk)
+        blocks %= p
         if min(rows, width) > 2 * _PANEL:
-            ranks += [_block_rank_mod(*(_fiber_blocks(n, x) % p), p) for x in chunk]
+            ranks += [_block_rank_mod(l1, l2, p) for l1, l2 in blocks]
         else:
-            stack = _fiber_stack(n, chunk)
-            stack %= p
-            ranks += _ranks_mod(stack, p)
+            ranks += _ranks_mod(_fiber_stack(n, blocks), p)
         if check_family or not prime:
             independent += _ranks_mod(_canonical_stack(n, chunk), p)
     if not prime:
@@ -370,7 +376,9 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
     rank 2 everywhere including infinity, the Gram blocks of gamma satisfy
     the monad condition, gamma(v) has full rank at `points` random
     directions v, and the Jacobian of the slice equations at the point has
-    full row rank 3n(n-1)/2.
+    full row rank 3n(n-1)/2.  While the kernel is larger than the span of
+    the canonical solutions, a point in that span, where b_i is a multiple
+    of a_i and the pencil fails, is drawn again, at most 64 times.
     """
     _check_witness_args(n, points)
     return _witness_report(n, rng, field, points)
@@ -383,7 +391,15 @@ def _witness_report(n: int, rng: SeededRng, field: Field, points: int) -> Witnes
     if not basis:
         raise WitnessUnavailable("fiber system has trivial kernel")
     width = n * (n + 3)
-    point = _nonzero_kernel_point(rng.substream(f"witness/n={n}/coeffs"), field, basis, width)
+    canonical = _canonical_stack(n, np.array([vec_half(half)], dtype=object))[0].tolist()
+    span = rank(Matrix(field, canonical, width))
+    coeff_rng = rng.substream(f"witness/n={n}/coeffs")
+    for _ in range(64):
+        point = _nonzero_kernel_point(coeff_rng, field, basis, width)
+        if len(basis) == span or rank(Matrix(field, canonical + [point], width)) > span:
+            break
+    else:
+        raise SamplingError("could not sample a kernel point off the canonical span in 64 attempts")
     fiber = fiber_from_vec(field, n, point)
     x = SliceData(half, fiber)
 

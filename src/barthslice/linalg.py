@@ -164,7 +164,7 @@ class Matrix:
                 f"matmul shape mismatch: {self.shape} @ {other.shape}"
             )
         field = self.field
-        if _has_fast_path(field) and self.cols <= _FAST_INNER_LIMIT:
+        if isinstance(field, PrimeField) and self.cols <= _FAST_INNER_LIMIT:
             prod = _matmul_mod(_to_np(self), _to_np(other), field.p)
             return _from_np(field, prod)
         z = field.zero()
@@ -251,13 +251,15 @@ def matvec(m: Matrix, v: Sequence) -> list:
 # GF(p) backend (numpy: int64 for p < 2**31, Python ints past it)
 
 
-def _has_fast_path(field: Field) -> bool:
-    return isinstance(field, PrimeField) and field.p < _FAST_PRIME_LIMIT
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The integers `a` mod p, as int64 below 2**31 (the bounds above) and
+    as Python ints past it."""
+    return (a % p).astype(np.int64 if p < _FAST_PRIME_LIMIT else object)
 
 
 def _to_np(m: Matrix) -> np.ndarray:
-    dtype = np.int64 if _has_fast_path(m.field) else object
-    return np.array(m.data, dtype=dtype).reshape(m.rows, m.cols)
+    """A GF(p) matrix as an array of `_residues`."""
+    return _residues(np.array(m.data, dtype=object).reshape(m.rows, m.cols), m.field.p)
 
 
 def _from_np(field: Field, arr: np.ndarray) -> Matrix:
@@ -502,7 +504,7 @@ def _images(ints: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[int]]]:
     """(p, RREF mod p, pivots) of an integer matrix for every prime of
     `_primes`."""
     for p in _primes():
-        yield (p, *_rref_mod((ints % p).astype(np.int64), p))
+        yield (p, *_rref_mod(_residues(ints, p), p))
 
 
 def _reconstruct(block: np.ndarray, modulus: int) -> tuple[int, np.ndarray] | None:

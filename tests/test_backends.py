@@ -37,8 +37,8 @@ from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
 from barthslice.census import sample_half, witness_pipeline
 from barthslice.errors import InvariantError
 from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
-from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _images, _matmul_mod,
-                               _rref_mod, _to_np, kernel_basis, rank, rref)
+from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _free_kernel, _from_np, _images,
+                               _matmul_mod, _rref_array, _rref_mod, _to_np, kernel_basis, rank, rref)
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -172,6 +172,17 @@ ORACLE_CASES = [
 ]
 
 
+# label -> RREF array and pivots over GF(2^61 - 1), which two tests read:
+# the Python-int elimination takes seconds on the wide cases
+_RREF61 = {}
+
+
+def _rref61(label: str, m: Matrix) -> tuple[np.ndarray, list[int]]:
+    if label not in _RREF61:
+        _RREF61[label] = _rref_array(_over(GF61, m))
+    return _RREF61[label]
+
+
 def _count_images(monkeypatch) -> list:
     calls = []
 
@@ -201,7 +212,7 @@ def test_int64_and_generic_rref_agree(label, m):
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
 def test_ranks_agree_across_fields(label, m):
     r31 = rank(_over(GF31, m))
-    assert rank(_over(GF61, m)) == r31
+    assert len(_rref61(label, m)[1]) == r31  # rank over GF(p) is the pivot count
     assert rank(m) == r31 == len(rref(m)[1])
 
 
@@ -254,12 +265,15 @@ def test_rational_witness_past_the_full_rank_exit():
 def test_rational_results_reduce_to_modular_ones(label, m):
     red_qq, pivots_qq = rref(m)
     kernel = kernel_basis(m)
-    for field in (GF31, GF61):
-        gf, p = _over(field, m), field.p
-        red_gf, pivots_gf = rref(gf)
+    gf = _over(GF31, m)
+    arr, pivots = _rref61(label, m)
+    # over GF(2^61 - 1), rref and kernel_basis as read off the shared elimination
+    modular = [(P31, *rref(gf), kernel_basis(gf)),
+               (P61, _from_np(GF61, arr), pivots, (_free_kernel(arr, pivots) % P61).T.tolist())]
+    for p, red_gf, pivots_gf, kernel_gf in modular:
         assert pivots_qq == pivots_gf
         assert [[_mod(x, p) for x in row] for row in red_qq.data] == red_gf.data
-        assert [[_mod(x, p) for x in vec] for vec in kernel] == kernel_basis(gf)
+        assert [[_mod(x, p) for x in vec] for vec in kernel] == kernel_gf
 
 
 def test_low_rank_products_have_the_inner_rank():
@@ -288,13 +302,16 @@ def test_limb_matmul_is_exact(p, inner):
 
 
 def test_matrix_matmul_agrees_with_its_python_loop(monkeypatch):
-    rng = SeededRng(11)
-    a = Matrix(GF31, [[P31 - 1] * 70] + [[GF31.sample(rng) for _ in range(70)] for _ in range(5)])
-    b = Matrix(GF31, [[P31 - 1] * 4 if i % 7 else [GF31.sample(rng) for _ in range(4)]
-                      for i in range(70)])
-    fast = a @ b
-    monkeypatch.setattr(linalg, "_FAST_INNER_LIMIT", 0)
-    assert fast == a @ b
+    # numpy products on int64 and on Python ints (GF(2^61 - 1))
+    for gf in (GF31, GF61):
+        rng = SeededRng(11)
+        a = Matrix(gf, [[gf.p - 1] * 70] + [[gf.sample(rng) for _ in range(70)] for _ in range(5)])
+        b = Matrix(gf, [[gf.p - 1] * 4 if i % 7 else [gf.sample(rng) for _ in range(4)]
+                        for i in range(70)])
+        fast = a @ b
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_FAST_INNER_LIMIT", 0)
+            assert fast == a @ b
 
 
 def test_blocked_elimination_runs_on_wide_systems_only(monkeypatch):

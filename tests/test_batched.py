@@ -3,7 +3,9 @@
 * assembly: by bilinearity, column j of `fiber_system(half)` is
   vec_skew(residual(half, e_j)), and column j of the Jacobian's half block
   is vec_skew(residual(e_j, fiber)); neither reads the index arrays, and
-  the entries come back as Python ints or Fractions;
+  the entries come back as Python ints or Fractions.  The stacked assembly
+  (`_fiber_blocks`, then `_fiber_stack`) gives each trial its own
+  `fiber_system`, on int64, Python-int and Fraction stacks;
 * batched ranks: `_census_ranks` equals `rank(fiber_system(half))` trial by
   trial over GF(2^31 - 1) (int64 stacks), GF(2^61 - 1) (Python-int stacks)
   and QQ, on stacks that mix generic halves with planted deficient ones in
@@ -25,9 +27,9 @@ import pytest
 
 from barthslice import census as census_module
 from barthslice import linalg
-from barthslice.barth import (SliceData, _fiber_index, canonical_fiber_solutions, fiber_from_vec,
-                              fiber_system, half_from_vec, jacobian, residual, sym_index, vec_fiber,
-                              vec_half, vec_skew)
+from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_stack,
+                              canonical_fiber_solutions, fiber_from_vec, fiber_system, half_from_vec,
+                              jacobian, residual, sym_index, vec_fiber, vec_half, vec_skew)
 from barthslice.census import _census_ranks, fiber_census, sample_half
 from barthslice.fields import PrimeField, RationalField
 from barthslice.linalg import (_STACK_ENTRIES, Matrix, _ranks_mod, kernel_basis, rank,
@@ -84,12 +86,27 @@ def test_assembly_matches_the_residual_column_by_column(field):
 
 
 def test_each_sign_reaches_an_entry_at_most_once():
-    # the assembly writes each sign with one fancy-index update, which
-    # would drop a repeated entry
+    # the assembly writes each sign of a block with one fancy-index update,
+    # which would drop a repeated entry
     for n in range(1, 13):
-        for flat, coord in _fiber_index(n):
-            assert len(set(flat.tolist())) == flat.size
-            assert coord.max(initial=0) < n * (n + 3)
+        for row, col, coord in _block_index(n):
+            assert len(set(zip(row.tolist(), col.tolist()))) == row.size
+            assert (row < n * (n - 1) // 2).all()
+            assert (col < n * (n + 3) // 2).all() and (coord < n * (n + 3) // 2).all()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_stacked_assembly_gives_each_trial_its_fiber_system(field):
+    # a block or a placement taken from the wrong trial changes some row
+    for n in range(1, 11):
+        halves = _planted(field, n, SeededRng(79).substream(f"n={n}"))
+        h = np.array(halves, dtype=np.int64 if field is GF31 else object)
+        stack = _fiber_stack(n, _fiber_blocks(n, h, field.zero()), field.zero())
+        if isinstance(field, PrimeField):
+            stack %= field.p
+        assert stack.shape == (len(halves), 3 * n * (n - 1) // 2, n * (n + 3))
+        for t, vec in enumerate(halves):
+            assert stack[t].tolist() == fiber_system(half_from_vec(field, n, vec)).data
 
 
 # ---------------------------------------------------------------------------

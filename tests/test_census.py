@@ -15,7 +15,7 @@ from barthslice.census import (
     witness_certificate,
     witness_pipeline,
 )
-from barthslice.errors import DomainError
+from barthslice.errors import DomainError, SamplingError
 from barthslice.fields import PrimeField, RationalField
 from barthslice.linalg import Matrix, kernel_basis, spans_match
 from barthslice.rng import SeededRng
@@ -192,6 +192,37 @@ def test_witness_pipeline_n7_modular():
     assert rep.fiber_dim == 7
     assert rep.jacobian_rank == 63
     assert rep.ok
+
+
+def _counted_kernel_points(monkeypatch, fixed=None) -> list:
+    calls = []
+    draw = census_module._nonzero_kernel_point
+
+    def counted(rng, field, basis, width):
+        calls.append(width)
+        point = draw(rng, field, basis, width)
+        return point if fixed is None else fixed
+
+    monkeypatch.setattr(census_module, "_nonzero_kernel_point", counted)
+    return calls
+
+
+def test_witness_draws_again_off_the_canonical_solutions(monkeypatch):
+    # the first kernel point at this seed lies in the span of the four
+    # canonical solutions: b_i is a multiple of a_i, and the pencil fails
+    calls = _counted_kernel_points(monkeypatch)
+    rep = witness_pipeline(7, SeededRng(501), RationalField(sample_window=5))
+    assert len(calls) == 2
+    assert rep.pencil.finite_ok and rep.pencil.infinity_ok and rep.ok
+
+
+def test_witness_gives_up_on_the_canonical_solutions(monkeypatch):
+    half = sample_half(SeededRng(12).substream("witness/n=5/half"), GF, 5)
+    on_span = vec_fiber(canonical_fiber_solutions(half)[3])  # (0, 0, a1, a2)
+    calls = _counted_kernel_points(monkeypatch, on_span)
+    with pytest.raises(SamplingError):
+        witness_pipeline(5, SeededRng(12), GF)
+    assert len(calls) == 64
 
 
 def test_witness_warns_outside_calibrated_range():

@@ -58,6 +58,16 @@ def test_witness_rational(capsys):
     assert w["residual_zero"] and w["monad_ok"] and w["jacobian_full"]
 
 
+def test_witness_off_the_canonical_solutions_passes(capsys):
+    # this seed's first kernel point lies in the canonical span; drawn
+    # again, the witness passes
+    code, out, _ = run_cli(capsys, "witness", "--n", "7", "--prime", "rational",
+                           "--window", "5", "--seed", "501")
+    assert code == 0
+    (cert,) = json.loads(out)
+    assert cert["witness"]["pencil_finite_ok"] and cert["witness"]["pencil_infinity_ok"]
+
+
 def test_witness_unsampleable_window_exits_2(capsys):
     # window 0 draws only zero coefficients, so no nonzero kernel point exists
     code, out, err = run_cli(
