@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DomainError, InvariantError, SamplingError, ShapeError
 from .fields import Field, PrimeField
-from .linalg import Matrix, _from_np, _residues, inverse, matvec
+from .linalg import Matrix, _from_np, _matmul_mod, _ranks_mod, _residues, inverse, matvec
 
 # numpy after .linalg, which loads it too: with no bytecode cache, compiling
 # linalg.py before numpy is resident keeps the CLI's peak RSS 0.5 MB lower
@@ -298,6 +298,16 @@ def _place(local: np.ndarray, b: int, n: int) -> np.ndarray:
     return np.where(local < s, local + b * s, local - s + 2 * s + b * n)
 
 
+def _vech_positions(n: int) -> np.ndarray:
+    """The (n, n) array whose entries (a, b) and (b, a), a <= b, hold the
+    position of (a, b) in sym_index(n): h[..., _vech_positions(n)] unpacks
+    the symmetric matrices of a stack h of vech rows."""
+    vech = np.empty((n, n), dtype=np.intp)
+    a, b = np.triu_indices(n)  # the row-major upper triangle of sym_index
+    vech[a, b] = vech[b, a] = np.arange(a.size)
+    return vech
+
+
 # one charge at a time: the census runs n by n
 @lru_cache(maxsize=1)
 def _block_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -312,9 +322,7 @@ def _block_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     signs), so each sign is assembled by one fancy-index update.
     """
     s = n * (n + 1) // 2
-    vech = np.empty((n, n), dtype=np.intp)  # vech[a, b] = vech[b, a]: position in sym_index
-    a, b = np.array(sym_index(n), dtype=np.intp).T
-    vech[a, b] = vech[b, a] = np.arange(s)
+    vech = _vech_positions(n)
     i, j = np.array(skew_index(n), dtype=np.intp).reshape(-1, 2).T
     rows, k = np.arange(i.size), np.arange(n)
     r = np.concatenate([np.repeat(rows, n), rows])
@@ -335,6 +343,59 @@ def _fiber_blocks(n: int, h: np.ndarray, zero=0) -> np.ndarray:
         out[:, b, pr, pc] = h[:, _place(ph, b, n)]
         out[:, b, mr, mc] -= h[:, _place(mh, b, n)]
     return out
+
+
+def _krylov_kernels(n: int, h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of the blocks L1 = L(A1, a1) and L2 = L(A2, a2) of each half
+    in a (trials, n(n+3)) stack h of residues mod p, from Krylov vectors:
+    a (trials, 2, n(n+3)/2, 2n) stack of block-local columns (vech Y, y),
+    and a (trials, 2) mask of the blocks for which they are a basis of the
+    kernel, those whose a_i is a cyclic vector of A_i mod p.
+
+    Let X be a symmetric matrix over a field, and x a cyclic vector of it:
+    the Krylov matrix [x, Xx, ..., X^{n-1} x] has rank n.  Then the minimal
+    polynomial of X has degree n (X is nonderogatory), and the matrices that
+    commute with X are the polynomials in X (F^n is the cyclic module
+    F[t]/(min poly), whose endomorphisms commuting with t are the
+    multiplications).  They span n dimensions and are all symmetric, so the
+    image of Y -> [X, Y] on Sym(n) has dim n(n+1)/2 - n = n(n-1)/2: it is
+    all of Skew(n).  Hence
+    L(X, x)(Y, y) = [X, Y] + x ^ y is onto, of rank n(n-1)/2, and its kernel
+    has dim n(n+3)/2 - n(n-1)/2 = 2n.  For k = 0..n-1 it holds
+
+        (X^k, 0)                  as [X, X^k] = 0, and
+        (Y_k, X^k x)              Y_0 = 0, Y_{k+1} = X Y_k + x (X^k x)^T,
+
+    that is Y_k = sum_{i+j=k-1} X^i x x^T X^j, symmetric, whose bracket
+    telescopes to [X, Y_k] = X^k x x^T - x x^T X^k = -(x ^ X^k x).  These
+    2n columns are independent: their y parts are the Krylov basis, so a
+    relation has no (Y_k, X^k x) term, and then 1, X, ..., X^{n-1} are
+    independent because the minimal polynomial has degree n.  So they are a
+    basis of the kernel.  All of this holds over GF(p) for the residues of
+    A_i and a_i, and every step here is exact mod p, so one rank of the
+    n x n Krylov matrix mod p certifies, block by block, that the columns
+    are a basis of ker L_i mod p.
+    """
+    s, t = n * (n + 1) // 2, h.shape[0]
+    vech, (a, b) = _vech_positions(n), np.triu_indices(n)
+    x = np.stack([h[:, vech], h[:, s + vech]], axis=1)
+    v0 = h[:, 2 * s:].reshape(t, 2, n)
+    # columns X^k, Y_k and X^k x of each block
+    state = np.zeros((t, 2, n, 2 * n + 1), dtype=h.dtype)
+    state[..., :n] = np.eye(n, dtype=h.dtype)
+    state[..., 2 * n] = v0
+    kernels = np.zeros((t, 2, s + n, 2 * n), dtype=h.dtype)
+    for k in range(n):
+        kernels[..., :s, 2 * k] = state[:, :, a, b]
+        kernels[..., :s, 2 * k + 1] = state[:, :, a, n + b]
+        kernels[..., s:, 2 * k + 1] = state[..., 2 * n]
+        if k < n - 1:
+            v = state[..., 2 * n]
+            state = _matmul_mod(x, state, p)
+            state[..., n:2 * n] += v0[..., :, None] * v[..., None, :]
+            state[..., n:2 * n] %= p
+    krylov = kernels[..., s:, 1::2].reshape(2 * t, n, n).copy()
+    return kernels, (np.array(_ranks_mod(krylov, p)) == n).reshape(t, 2)
 
 
 def _fiber_stack(n: int, blocks: np.ndarray, zero=0) -> np.ndarray:

@@ -23,7 +23,7 @@ from .barth import (
     SliceData,
     _canonical_stack,
     _fiber_blocks,
-    _fiber_stack,
+    _krylov_kernels,
     fiber_from_vec,
     fiber_system,
     half_from_vec,
@@ -33,8 +33,8 @@ from .barth import (
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field, PrimeField
-from .linalg import (_PANEL, _STACK_ENTRIES, Matrix, _block_rank_mod, _cleared_int_rows, _primes,
-                     _ranks_mod, _residues, kernel_basis, rank)
+from .linalg import (_STACK_ENTRIES, Matrix, _block_ranks_mod, _cleared_int_rows, _free_kernel, _primes,
+                     _ranks_mod, _residues, _rref_mod, kernel_basis, rank)
 from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -208,7 +208,9 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
     """Histogram of fiber dimensions over random half data.
 
     Each trial draws from its own substream, so certificates do not depend
-    on trial scheduling.  A trial's dimension is n(n+3) - rank L.  With
+    on trial scheduling.  A trial's dimension is n(n+3) - rank L, with rank
+    L read off the blocks L1, L2 and their kernels, Krylov vectors where
+    a_i is cyclic (`_census_ranks`); L itself is never built.  With
     check_family=True (n >= 8 only) every trial additionally verifies that
     the kernel equals the span of the four canonical solutions.  These
     always lie in the kernel (`canonical_fiber_solutions` asserts it), so
@@ -266,15 +268,26 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
     """Exact ranks of L, and with check_family (or over QQ) of the four
     canonical solutions, for each half row of the integer stack `h`.
 
-    Trials are eliminated mod p in stacks of at most _STACK_ENTRIES entries
-    of L.  Each stack's blocks L1, L2 are built once (`_fiber_blocks`) and
-    reduced; systems with at most 2 * _PANEL rows or columns (n <= 9) are
-    laid out as L = [[L1, 0], [0, L2], [L2, L1]] (`_fiber_stack`) and
-    eliminated together, larger ones are ranked one at a time by their
-    blocks (`_block_rank_mod`), and the whole L is never built.  Over QQ, p
-    is the first prime of the QQ elimination.
-    The canonical solutions lie in ker L over QQ, and a rank mod p is at most
-    the rank over QQ, so
+    Trials are ranked mod p in chunks, and the whole L is never built.  A
+    chunk's blocks L1, L2, each n(n-1)/2 x n(n+3)/2, are built once
+    (`_fiber_blocks`), and with K_i a basis of ker L_i
+
+        rank L = rank L1 + rank L2 + rank M,    M = [L2 K1 | L1 K2]
+
+    (`_block_ranks_mod`).  K_i has two sources.  A block whose a_i is a
+    cyclic vector of A_i mod p has rank n(n-1)/2, and its kernel is spanned
+    by 2n Krylov vectors (`_krylov_kernels`, where the argument is written
+    out); when both blocks are, M is n(n-1)/2 x 4n.  The chunk's Ms are
+    ranked together, and each trial with another block is ranked again,
+    alone: that block takes K_i and rank L_i from its reduced echelon form.
+    The Krylov rank is taken mod the same p, so either way each number is
+    rank_p L exactly, for every trial: nothing is assumed about the draw.
+    A chunk holds as many trials as fit in _STACK_ENTRIES entries of blocks
+    and kernels, 2 w^2 a trial for w = n(n+3)/2 (at least one trial).
+
+    Over QQ, p is the first prime of the QQ elimination.  The canonical
+    solutions lie in ker L over QQ, and a rank mod p is at most the rank
+    over QQ, so
 
         rank_p L <= rank L <= width - rank C <= width - rank_p C
 
@@ -282,20 +295,24 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
     rank mod p, is settled, and only the others are ranked again, exactly,
     by `rank`.
     """
-    rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
+    q, w = n * (n - 1) // 2, n * (n + 3) // 2
+    rows, width = 3 * q, 2 * w
     prime = isinstance(field, PrimeField)
     p = field.p if prime else next(_primes())
     residues = _residues(h, p)
-    step = max(1, _STACK_ENTRIES // max(1, rows * width))
+    step = max(1, _STACK_ENTRIES // (2 * w * w))
     ranks, independent = [], []
     for lo in range(0, len(h), step):
         chunk = residues[lo:lo + step]
         blocks = _fiber_blocks(n, chunk)
         blocks %= p
-        if min(rows, width) > 2 * _PANEL:
-            ranks += [_block_rank_mod(l1, l2, p) for l1, l2 in blocks]
-        else:
-            ranks += _ranks_mod(_fiber_stack(n, blocks), p)
+        kernels, cyclic = _krylov_kernels(n, chunk, p)
+        chunk_ranks = _block_ranks_mod(blocks, kernels[:, 0], kernels[:, 1], p)
+        for t in np.flatnonzero(~cyclic.all(axis=1)):  # ranked again, alone
+            k1, k2 = (kernels[t, i] if cyclic[t, i] else _free_kernel(*_rref_mod(blocks[t, i], p)) % p
+                      for i in (0, 1))
+            chunk_ranks[t] = _block_ranks_mod(blocks[t:t + 1], k1[None], k2[None], p)[0]
+        ranks += chunk_ranks
         if check_family or not prime:
             independent += _ranks_mod(_canonical_stack(n, chunk), p)
     if not prime:

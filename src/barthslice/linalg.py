@@ -20,8 +20,9 @@ canonical form.  Elimination is mod p on numpy:
   until the kernel of the candidate annihilates them exactly (see below);
 * for stacks of small matrices whose ranks alone are needed (the census),
   `_ranks_mod` eliminates the whole stack at once, forward only, on the
-  same dtypes; a large matrix of block form [[L1, 0], [0, L2], [L2, L1]]
-  is ranked by its blocks (`_block_rank_mod`).
+  same dtypes; matrices of block form [[L1, 0], [0, L2], [L2, L1]] are
+  ranked by their blocks and the kernels of L1 and L2
+  (`_block_ranks_mod`).
 
 The pivot rule is fixed: first nonzero entry, top to bottom.  The reduced
 row echelon form is unique whatever the pivot order, blocking or primes, so
@@ -370,29 +371,25 @@ def _free_kernel(a: np.ndarray, pivots: list[int], zero=0, one=1) -> np.ndarray:
     return k
 
 
-def _block_rank_mod(l1: np.ndarray, l2: np.ndarray, p: int) -> int:
-    """Rank mod p of L = [[L1, 0], [0, L2], [L2, L1]] for L1 and L2 of one
-    shape, entries in [0, p), without forming L.
+def _block_ranks_mod(blocks: np.ndarray, k1: np.ndarray, k2: np.ndarray, p: int) -> list[int]:
+    """Ranks mod p of L = [[L1, 0], [0, L2], [L2, L1]] for a (trials, 2, q,
+    w) stack of blocks L1, L2 with entries in [0, p), given bases K1 and K2
+    of their kernels as (trials, w, c_i) stacks, without forming L.
 
-    ker L = {(x, y) : L1 x = 0, L2 y = 0, L2 x + L1 y = 0}.  With K_i the
-    free-column kernel basis of L_i, the first two equations say x = K1 u
-    and y = K2 v for unique u and v, and the third then says M (u, v) = 0
-    for M = [L2 K1 | L1 K2].  So (u, v) -> (K1 u, K2 v) maps ker M one to
-    one onto ker L, and counting dimensions (dim ker L_i = cols - rank L_i
-    columns of K_i) gives
+    ker L = {(x, y) : L1 x = 0, L2 y = 0, L2 x + L1 y = 0}.  The first two
+    equations say x = K1 u and y = K2 v for unique u and v, and the third
+    then says M (u, v) = 0 for M = [L2 K1 | L1 K2].  So (u, v) -> (K1 u,
+    K2 v) maps ker M one to one onto ker L, and counting dimensions
+    (rank L_i = w - c_i) gives
 
         rank L = rank L1 + rank L2 + rank M.
 
     Nothing here but linear algebra over a field, so the identity holds mod
-    every p, and with it every rank the census reads off L.  For the fiber
-    system at n = 24 it replaces one 828 x 648 elimination by two of
-    276 x 324 and one of the 276 x 96 matrix M.
+    every p, and with it every rank the census reads off L.  The stack's Ms
+    are ranked together (`_ranks_mod`).
     """
-    r1, p1 = _rref_mod(l1, p)
-    r2, p2 = _rref_mod(l2, p)
-    m = np.concatenate([_matmul_mod(l2, _free_kernel(r1, p1) % p, p),
-                        _matmul_mod(l1, _free_kernel(r2, p2) % p, p)], axis=1)
-    return len(p1) + len(p2) + _ranks_mod(m[None], p)[0]
+    m = np.concatenate([_matmul_mod(blocks[:, 1], k1, p), _matmul_mod(blocks[:, 0], k2, p)], axis=2)
+    return [2 * blocks.shape[3] - k1.shape[2] - k2.shape[2] + r for r in _ranks_mod(m, p)]
 
 
 def _inverses_mod(x: np.ndarray, p: int) -> np.ndarray:

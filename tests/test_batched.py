@@ -10,9 +10,13 @@
   trial over GF(2^31 - 1) (int64 stacks), GF(2^61 - 1) (Python-int stacks)
   and QQ, on stacks that mix generic halves with planted deficient ones in
   one chunk, and across chunk boundaries;
-* block ranks: past two panels (n >= 10) `_census_ranks` ranks L by its
-  blocks L1, L2, and equals `rank(fiber_system(half))` on halves planted so
-  that either block, both or neither vanish;
+* block ranks: `_census_ranks` ranks L by its blocks L1, L2 and their
+  kernels, and equals `rank(fiber_system(half))` on halves planted so that
+  either block, both or neither vanish;
+* Krylov kernels: the 2n Krylov vectors of a block lie in its kernel mod p
+  and, over QQ, in integers; they are independent when a_i is cyclic; and
+  ranks equal `rank(fiber_system(half))` on planted derogatory and
+  non-cyclic halves and over small primes, where both kernel sources run;
 * over QQ, a trial whose rank mod p and canonical solutions add up to the
   width is settled without an exact `rank`;
 * the family verdict (dim 4 and the four canonical solutions independent)
@@ -25,9 +29,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from barthslice import barth as barth_module
 from barthslice import census as census_module
 from barthslice import linalg
-from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_stack,
+from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_stack, _krylov_kernels,
                               canonical_fiber_solutions, fiber_from_vec, fiber_system, half_from_vec,
                               jacobian, residual, sym_index, vec_fiber, vec_half, vec_skew)
 from barthslice.census import _census_ranks, fiber_census, sample_half
@@ -176,9 +181,8 @@ def test_rational_ranks_look_past_an_unlucky_image():
 
 
 def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
-    n = 10  # 135 x 130: more than 2 * _PANEL rows and columns
-    halves = _planted(GF31, n, SeededRng(83))[:3]
-    expected = _expected_ranks(GF31, n, halves)
+    # a block whose a_i is not cyclic (L2 = 0 in no-eq2, both blocks of the
+    # zero half and of the lone a1) goes to `_rref_mod` alone; L never does
     calls = []
     rref_mod = linalg._rref_mod
 
@@ -187,12 +191,14 @@ def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
         return rref_mod(a, p)
 
     monkeypatch.setattr(linalg, "_rref_mod", counted)
-    ranks, _ = _census_ranks(GF31, n, _integer_stack(GF31, halves), False)
-    assert ranks == expected
-    assert calls == [(45, 65)] * 6  # the blocks L1 and L2 of each trial, never L
-    calls.clear()
-    _census_ranks(GF31, 9, _integer_stack(GF31, _planted(GF31, 9, SeededRng(83))), False)
-    assert calls == []  # 108 x 108 stays batched
+    monkeypatch.setattr(census_module, "_rref_mod", counted)
+    for n, count, halves in [(10, 1, _planted(GF31, 10, SeededRng(83))[:3]),
+                             (9, 5, _planted(GF31, 9, SeededRng(83)))]:
+        expected = _expected_ranks(GF31, n, halves)
+        calls.clear()
+        ranks, _ = _census_ranks(GF31, n, _integer_stack(GF31, halves), False)
+        assert ranks == expected
+        assert calls == [(n * (n - 1) // 2, n * (n + 3) // 2)] * count  # blocks, never 3n(n-1)/2 rows
 
 
 def _planted_blocks(field, n: int, rng: SeededRng) -> list[list]:
@@ -253,6 +259,104 @@ def test_ranks_mod_on_low_rank_products():
 
 
 # ---------------------------------------------------------------------------
+# Krylov kernels
+
+
+P521 = 2**521 - 1  # a Mersenne prime past every integer of the QQ checks below
+
+
+def _krylov_halves(field, n: int, rng: SeededRng) -> list[list]:
+    """`_planted` and `_planted_blocks` halves, and one with A1 = 3 I and a
+    generic a1: for n >= 2 a derogatory A1, which has no cyclic vector."""
+    s = n * (n + 1) // 2
+    diag = [k for k, (i, j) in enumerate(sym_index(n)) if i == j]
+    scalar = vec_half(sample_half(rng.substream("scalar"), field, n))
+    scalar[:s] = [3 if k in diag else 0 for k in range(s)]
+    return (_planted(field, n, rng) + _planted_blocks(field, n, rng)[4:]
+            + [[field.coerce(x) for x in scalar]])
+
+
+def _products(n: int, h: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """L_i K_i for each block, in Python ints."""
+    return _fiber_blocks(n, h.astype(object)) @ kernels.astype(object)
+
+
+@pytest.mark.parametrize("field", [GF31, GF61], ids=["GF31-int64", "GF61-object"])
+def test_krylov_kernels_lie_in_the_kernel_mod_p(field):
+    for n in range(1, 13):
+        h = _integer_stack(field, _krylov_halves(field, n, SeededRng(91).substream(f"n={n}")))
+        kernels, cyclic = _krylov_kernels(n, h, field.p)
+        assert kernels.dtype == h.dtype and kernels.shape == (len(h), 2, n * (n + 3) // 2, 2 * n)
+        assert (_products(n, h, kernels) % field.p == 0).all()
+        assert cyclic[0].all() and not cyclic[3].any()  # a generic half; the zero half
+
+
+@pytest.mark.parametrize("window", [1, 5])
+def test_krylov_kernels_lie_in_the_kernel_in_integers(window):
+    # the kernels mod a prime past every entry, lifted to (-P/2, P/2), are
+    # the integer Krylov vectors of the cleared half; they lie in the kernel
+    # whether or not a_i is cyclic
+    field = RationalField(sample_window=window)
+    for n in range(1, 13):
+        h = census_module._census_halves(SeededRng(92), field, n, 3)
+        kernels, _ = _krylov_kernels(n, h % P521, P521)
+        kernels = np.where(kernels > P521 // 2, kernels - P521, kernels)
+        assert kernels.any() and not (_products(n, h, kernels) != 0).any()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, P31])
+def test_krylov_columns_are_independent_when_the_check_passes(p):
+    field = PrimeField(p, allow_small=True)
+    passed = 0
+    for n in range(1, 9):
+        halves = [vec_half(sample_half(SeededRng(93).substream(f"n={n}/t={t}"), field, n))
+                  for t in range(6)]
+        h = _integer_stack(field, halves)
+        kernels, cyclic = _krylov_kernels(n, h, p)
+        blocks = _fiber_blocks(n, h) % p
+        for t, i in zip(*np.nonzero(cyclic)):
+            assert rank(Matrix(field, kernels[t, i].T.tolist())) == 2 * n
+            assert rank(Matrix(field, blocks[t, i].tolist(), n * (n + 3) // 2)) == n * (n - 1) // 2
+            passed += 1
+    assert passed
+
+
+@pytest.mark.parametrize("field, sizes", [(GF31, [*range(1, 13), 17, 24]), (GF61, range(1, 9))],
+                         ids=["GF31", "GF61"])
+def test_krylov_and_fallback_ranks_equal_rank_trial_by_trial(field, sizes):
+    for n in sizes:
+        halves = _krylov_halves(field, n, SeededRng(94).substream(f"n={n}"))
+        ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
+        assert ranks == _expected_ranks(field, n, halves)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_small_primes_take_both_kernel_sources(p, monkeypatch):
+    field = PrimeField(p, allow_small=True)
+    krylov = census_module._krylov_kernels
+    free_kernel = census_module._free_kernel
+    taken = {"krylov": 0, "fallback": 0}
+
+    def counted_krylov(n, h, q):
+        kernels, cyclic = krylov(n, h, q)
+        taken["krylov"] += int(cyclic.sum())
+        return kernels, cyclic
+
+    def counted_fallback(*args):
+        taken["fallback"] += 1
+        return free_kernel(*args)
+
+    monkeypatch.setattr(census_module, "_krylov_kernels", counted_krylov)
+    monkeypatch.setattr(census_module, "_free_kernel", counted_fallback)
+    for n in range(2, 11):
+        rng = SeededRng(95).substream(f"n={n}")
+        halves = [vec_half(sample_half(rng.substream(f"t={t}"), field, n)) for t in range(8)]
+        ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
+        assert ranks == _expected_ranks(field, n, halves)
+    assert taken["krylov"] and taken["fallback"]
+
+
+# ---------------------------------------------------------------------------
 # family verdict
 
 
@@ -302,19 +406,32 @@ def test_family_verdict_matches_kernel_span_on_generic_halves(n):
 
 
 def test_census_stacks_stay_within_the_entry_budget(monkeypatch):
-    shapes = []
+    # the blocks, and the stacks of M (`_block_ranks_mod`), of the Krylov
+    # matrices (`_krylov_kernels`) and of the canonical solutions (the census)
+    shapes = {"blocks": [], "M": [], "krylov": [], "canonical": []}
 
-    def recorded(a, p):
-        shapes.append((a.shape, a.dtype))
-        return _ranks_mod(a, p)
+    def recorder(kind, f):
+        def recorded(*args):
+            out = f(*args)
+            a = out if kind == "blocks" else args[0]
+            shapes[kind].append((a.shape, a.dtype))
+            return out
+        return recorded
 
-    monkeypatch.setattr(census_module, "_ranks_mod", recorded)
+    monkeypatch.setattr(census_module, "_fiber_blocks", recorder("blocks", census_module._fiber_blocks))
+    monkeypatch.setattr(linalg, "_ranks_mod", recorder("M", _ranks_mod))
+    monkeypatch.setattr(barth_module, "_ranks_mod", recorder("krylov", _ranks_mod))
+    monkeypatch.setattr(census_module, "_ranks_mod", recorder("canonical", _ranks_mod))
     for n in range(4, 9):
         fiber_census(n, 100, SeededRng(87), GF31)
-    assert all(np.prod(shape) <= _STACK_ENTRIES for shape, _ in shapes)
-    assert all(dtype == np.int64 for _, dtype in shapes)
-    assert sum(shape[1:] == (84, 88) for shape, _ in shapes) > 1  # n = 8 runs in chunks
-    assert sum(shape[0] for shape, _ in shapes) == 500
-    shapes.clear()
+    stacks = [s for kind in shapes.values() for s in kind]
+    assert all(np.prod(shape) <= _STACK_ENTRIES for shape, _ in stacks)
+    assert all(dtype == np.int64 for _, dtype in stacks)
+    assert sum(shape[1:] == (28, 32) for shape, _ in shapes["M"]) > 1  # n = 8 runs in chunks
+    assert sum(shape[0] for shape, _ in shapes["M"]) == 500
+    assert sum(shape[0] for shape, _ in shapes["krylov"]) == 1000  # two blocks a trial
+    assert shapes["canonical"] == []
+    for kind in shapes.values():
+        kind.clear()
     fiber_census(8, 3, SeededRng(87), GF61, check_family=True)
-    assert [dtype for _, dtype in shapes] == [object, object]
+    assert [[dtype for _, dtype in shapes[kind]] for kind in shapes] == [[object]] * 4

@@ -31,8 +31,8 @@ GOLDEN = [
      "48ff23c6072b8ed79c4c9503db164ee77707fd33c131a6d0f57d27d364801bed"),
     ("census --n-min 2 --n-max 4 --trials 3 --prime rational --window 5 --seed 2",
      "0fc44b9baca97fd61d5fbda68a1ef241a6e2845cc5aa6160bc5ad63b49515549"),
-    # batched census edges: n = 1 (no equation rows), n = 9 (108 x 108 stacks),
-    # n = 10 (one matrix at a time) and a trial count no chunk divides
+    # batched census edges: n = 1 (no equation rows, one block column) and a
+    # trial count no chunk divides
     ("census --n-min 1 --n-max 10 --trials 7 --seed 4",
      "bbba903038915c2bc58032463a97b4adddd05a9c2fb9c7ac5cc2603a896825f2"),
     # Python-int (dtype=object) stacks
@@ -44,14 +44,20 @@ GOLDEN = [
     # the family verdict over QQ
     ("family --n-min 8 --n-max 10 --trials 3 --prime rational --window 2 --seed 6",
      "d9511cf662dd150ab3760246542115baefff713cbe98afa2b5e9ba5b9cd9d11e"),
-    # systems ranked by blocks (n >= 10): on Python ints, with a block L1
-    # (136 x 170 at n = 17) wide enough for the blocked elimination, and over QQ
+    # larger systems: on Python ints (n = 10, 11), at n = 17 and 18, and over QQ
     ("census --n-min 10 --n-max 11 --trials 2 --prime 2305843009213693951 --seed 7",
      "6d0d2d160dcda8195f38076398962b7c54f2f1ff981999c70edf7b5ae7cfbc41"),
     ("family --n-min 17 --n-max 18 --trials 1 --seed 8",
      "9eadc17a4d255379fbbf59a81abff9ce3fb2a476e16eafd028308ed685396042"),
     ("family --n-min 10 --n-max 11 --trials 2 --prime rational --window 1 --seed 9",
      "517801eb59badd148b0026d3aa7c2a98c407466f5da7cbd7b8e981f4ac96b62f"),
+    # a family at n = 40: 1740 x 1720 systems, ranked from 780 x 160 matrices
+    ("family --n-min 40 --n-max 40 --trials 1 --seed 10",
+     "480746ea96711c5acb6f3b446125456e274a7bdf7f41f3cbca8e42d82a60f705"),
+    # small QQ draws: 17, 11 and 8 of the 60 blocks at n = 4, 5 and 6 have a
+    # vector a_i that is not cyclic mod the first prime
+    ("census --n-min 4 --n-max 6 --trials 30 --prime rational --window 1 --seed 2",
+     "ae8842bc9f2ba8739a42c6dd0d1706d2eff3e0536a45405b88cba11b174124f2"),
 ]
 
 
