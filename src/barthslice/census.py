@@ -348,16 +348,13 @@ def certificate_ok(cert: Certificate) -> bool:
 
 
 def _nonzero_kernel_point(rng: SeededRng, field: Field, basis: list, width: int) -> list:
-    """Random field combination of kernel basis vectors, resampled if zero."""
+    """Random field combination of kernel basis vectors, resampled if zero:
+    a 1 x len(basis) row of draws times the basis."""
     z = field.zero()
+    vectors = Matrix._raw(field, basis, width)
     for _ in range(64):
-        coeffs = [field.sample(rng) for _ in basis]
-        point = [z] * width
-        for c, vec in zip(coeffs, basis):
-            if c == z:
-                continue
-            for k in range(width):
-                point[k] = field.add(point[k], field.mul(c, vec[k]))
+        draws = Matrix._raw(field, [[field.sample(rng) for _ in basis]], len(basis))
+        point = (draws @ vectors).data[0]
         if any(e != z for e in point):
             return point
     raise SamplingError("could not sample a nonzero kernel point in 64 attempts")

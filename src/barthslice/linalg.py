@@ -1,19 +1,24 @@
 """Dense exact matrices over an active coefficient field.
 
 Storage is row-major (list of row lists) with entries in the field's
-canonical form.  Elimination is mod p on numpy:
+canonical form.  Products and eliminations run on numpy integer arrays:
 
-* for every prime: int64 arrays for p < 2**31, and arrays of Python ints
-  (``dtype=object``) for larger p, where every step is exact as it stands.
-  Matrices with at most two panels' worth of rows or columns run a rank-1
-  loop, one outer-product update per pivot.  Larger ones run a blocked,
-  rank-profile elimination (Dumas, Giorgi & Pernet, "FFLAS and FFPACK",
-  TOMS 2008; Jeannerod, Pernet & Storjohann, JSC 2013): the same loop finds
-  the pivots of one panel, and every other row is updated by a matrix
-  product.  On int64 that product runs in float64 on 16-bit limbs, exact
-  for inner dims up to 2**21 (the bounds are written at the constants
-  below).  Rows are updated a panel height at a time, so the float64
-  temporaries stay a few hundred kB instead of copies of the whole matrix;
+* products (`Matrix.__matmul__`; `matvec` is the product with one column):
+  over GF(p) `_matmul_mod` of the residues; over QQ the Python-int product
+  of the left factor cleared row by row and the right factor cleared by one
+  common denominator, divided back into reduced Fractions;
+* elimination mod p, for every prime: int64 arrays for p < 2**31, and
+  arrays of Python ints (``dtype=object``) for larger p, where every step
+  is exact as it stands.  Matrices with at most two panels' worth of rows
+  or columns run a rank-1 loop, one outer-product update per pivot.
+  Larger ones run a blocked, rank-profile elimination (Dumas, Giorgi &
+  Pernet, "FFLAS and FFPACK", TOMS 2008; Jeannerod, Pernet & Storjohann,
+  JSC 2013): the same loop finds the pivots of one panel, and every other
+  row is updated by a matrix product.  On int64 that product runs in
+  float64 on 16-bit limbs, exact for inner dims up to 2**21 (the bounds
+  are written at the constants below).  Rows are updated a panel height at
+  a time, so the float64 temporaries stay a few hundred kB instead of
+  copies of the whole matrix;
 * over QQ, through those images: integer rows with the same row space,
   reduced mod a fixed sequence of primes below 2**31, are combined by CRT
   and read back by rational reconstruction (Wang 1981; Monagan, ISSAC 2004)
@@ -156,6 +161,13 @@ class Matrix:
         return Matrix._raw(self.field, [[neg(a) for a in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Exact product, one integer-array product for every field.
+
+        Over GF(p) the residues are multiplied by `_matmul_mod`.  Over QQ
+        each row i of the left factor is cleared by the lcm l_i of its
+        denominators, the whole right factor by one common denominator d,
+        and entry (i, j) is the integer product's entry over l_i * d.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field:
@@ -165,25 +177,14 @@ class Matrix:
                 f"matmul shape mismatch: {self.shape} @ {other.shape}"
             )
         field = self.field
-        if isinstance(field, PrimeField) and self.cols <= _FAST_INNER_LIMIT:
-            prod = _matmul_mod(_to_np(self), _to_np(other), field.p)
-            return _from_np(field, prod)
-        z = field.zero()
-        add, mul = field.add, field.mul
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                aik = arow[k]
-                if aik == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    bkj = brow[j]
-                    if bkj != 0:
-                        orow[j] = add(orow[j], mul(aik, bkj))
-        return Matrix._raw(field, out, other.cols)
+        if isinstance(field, PrimeField):
+            return _from_np(field, _matmul_mod(_to_np(self), _to_np(other), field.p))
+        a, lcms = _cleared(self.data)
+        (b,), (d,) = _cleared([[x for row in other.data for x in row]])
+        a = np.array(a, dtype=object).reshape(self.rows, self.cols)
+        b = np.array(b, dtype=object).reshape(other.rows, other.cols)
+        data = [[Fraction(x, k * d) for x in row] for row, k in zip((a @ b).tolist(), lcms)]
+        return Matrix._raw(field, data, other.cols)
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -232,20 +233,11 @@ class Matrix:
 
 
 def matvec(m: Matrix, v: Sequence) -> list:
-    """Matrix times column vector, returned as a list."""
+    """Matrix times column vector, returned as a list: the product with one
+    column."""
     if len(v) != m.cols:
         raise ShapeError(f"matvec length mismatch: {m.shape} @ {len(v)}")
-    field = m.field
-    v = [field.coerce(x) for x in v]
-    add, mul = field.add, field.mul
-    out = []
-    for row in m.data:
-        acc = field.zero()
-        for a, x in zip(row, v):
-            if a != 0 and x != 0:
-                acc = add(acc, mul(a, x))
-        out.append(acc)
-    return out
+    return [row[0] for row in (m @ Matrix(m.field, [[x] for x in v], 1)).data]
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +260,16 @@ def _from_np(field: Field, arr: np.ndarray) -> Matrix:
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x @ y mod p for entries in [0, p).
+    """x @ y mod p for entries in [0, p), stacked over leading axes.
 
     int64 operands are split into 16-bit limbs and multiplied by four
-    float64 (BLAS) products, each exact for inner dims up to 2**21; the
-    limb sums are recombined mod p in int64.  Python-int (``dtype=object``)
-    operands are multiplied exactly as they stand.
+    float64 (BLAS) products, each exact for inner dims up to 2**21
+    (`_FAST_INNER_LIMIT`); the limb sums are recombined mod p in int64.
+    Past that inner dim they are cast to Python ints.  Python-int
+    (``dtype=object``) operands are multiplied exactly as they stand.
     """
+    if x.dtype != object and x.shape[-1] > _FAST_INNER_LIMIT:
+        return _matmul_mod(x.astype(object), y.astype(object), p).astype(np.int64)
     if x.dtype == object:
         return (x @ y) % p
     x0, x1 = (x & 0xFFFF).astype(np.float64), (x >> 16).astype(np.float64)
@@ -483,12 +478,17 @@ def _swap_in_pivots(act: np.ndarray, stuck: np.ndarray):
 # primes tried, the lucky ones pass 2 H**2 and reconstruct R exactly.
 
 
+def _cleared(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row of Fractions times the lcm of its denominators, as Python
+    ints, and those lcms."""
+    lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (k // x.denominator) for x in row] for row, k in zip(rows, lcms)], lcms
+
+
 def _cleared_int_rows(m: Matrix) -> np.ndarray:
     """Integer rows (Python ints) with the same row space: each row times
     the lcm of its denominators."""
-    lcms = [math.lcm(*(x.denominator for x in row)) for row in m.data]
-    ints = [[x.numerator * (k // x.denominator) for x in row] for row, k in zip(m.data, lcms)]
-    return np.array(ints, dtype=object).reshape(m.rows, m.cols)
+    return np.array(_cleared(m.data)[0], dtype=object).reshape(m.rows, m.cols)
 
 
 def _primes() -> Iterator[int]:

@@ -301,8 +301,9 @@ def test_limb_matmul_is_exact(p, inner):
         assert _matmul_mod(x, y, p).tolist() == exact.tolist()
 
 
-def test_matrix_matmul_agrees_with_its_python_loop(monkeypatch):
-    # numpy products on int64 and on Python ints (GF(2^61 - 1))
+def test_matmul_agrees_with_its_python_int_path(monkeypatch):
+    # an inner-dim limit of 0 sends every int64 `_matmul_mod` product
+    # through Python ints, where GF(2^61 - 1) runs anyway
     for gf in (GF31, GF61):
         rng = SeededRng(11)
         a = Matrix(gf, [[gf.p - 1] * 70] + [[gf.sample(rng) for _ in range(70)] for _ in range(5)])
@@ -312,6 +313,16 @@ def test_matrix_matmul_agrees_with_its_python_loop(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "_FAST_INNER_LIMIT", 0)
             assert fast == a @ b
+    # the (trials, 2, n, n) stacks of the Krylov kernels, worst entries first
+    x, y = np.random.default_rng(11).integers(0, P31, size=(2, 3, 2, 7, 7))
+    x[0] = y[0] = P31 - 1
+    fast = _matmul_mod(x, y, P31)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_FAST_INNER_LIMIT", 0)
+        slow = _matmul_mod(x, y, P31)
+    assert fast.dtype == slow.dtype == np.int64 and fast.shape == (3, 2, 7, 7)
+    assert np.array_equal(fast, slow)
+    assert slow.tolist() == ((x.astype(object) @ y.astype(object)) % P31).tolist()
 
 
 def test_blocked_elimination_runs_on_wide_systems_only(monkeypatch):

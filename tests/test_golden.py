@@ -58,6 +58,10 @@ GOLDEN = [
     # vector a_i that is not cyclic mod the first prime
     ("census --n-min 4 --n-max 6 --trials 30 --prime rational --window 1 --seed 2",
      "ae8842bc9f2ba8739a42c6dd0d1706d2eff3e0536a45405b88cba11b174124f2"),
+    # the rational witness at the default window 100: large numerators and
+    # denominators through every QQ product
+    ("witness --n-min 4 --n-max 7 --prime rational --seed 2",
+     "60b912aee797eeb99a4b21fb15ff2a41251778403f5cce421ff043238cdcd501"),
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,71 @@ def test_matmul_shape_and_field_mismatch():
         Matrix(GF, [[1, 2]]) @ Matrix(GF, [[1, 2]])
     with pytest.raises(ShapeError):
         Matrix(GF, [[1]]) @ Matrix(QQ, [[1]])
+
+
+def _oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The per-entry product in the field's own arithmetic, the loop the
+    integer-array product replaced, kept here as an oracle."""
+    field = a.field
+    add, mul = field.add, field.mul
+    out = [[field.zero()] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for k in range(a.cols):
+            aik = a.data[i][k]
+            if aik == 0:
+                continue
+            for j in range(b.cols):
+                bkj = b.data[k][j]
+                if bkj != 0:
+                    out[i][j] = add(out[i][j], mul(aik, bkj))
+    return Matrix._raw(field, out, b.cols)
+
+
+def _mixed_matrix(field, rng, rows, cols) -> Matrix:
+    """Negative numerators up to 2^80, denominators from 1 to past 2^64
+    (over GF(p) reduced to residues), and every third row zero."""
+    def entry():
+        num = rng.integers(2 ** rng.integers(81) + 1) * (-1) ** rng.integers(2)
+        den = [1, 1, 2, 6, 35, 2**64 + 13][rng.integers(6)]
+        x = Fraction(num, den)
+        return x if field == QQ else x.numerator * pow(x.denominator, -1, field.p)
+    return Matrix(field, [[0 if i % 3 == 2 else entry() for _ in range(cols)] for i in range(rows)], cols)
+
+
+# (rows, inner, cols): generic ones, and the empty shapes 0 x k @ k x m,
+# k x 0 @ 0 x m and m x k @ k x 0
+PRODUCT_SHAPES = [(1, 1, 1), (4, 6, 5), (7, 3, 1), (1, 9, 4), (0, 4, 3), (3, 0, 2), (2, 4, 0)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF, PrimeField(2**61 - 1)], ids=["QQ", "GF31", "GF61"])
+def test_matmul_and_matvec_match_the_entry_loop(field):
+    rng = SeededRng(19)
+    for rows, inner, cols in PRODUCT_SHAPES * 3:
+        a = _mixed_matrix(field, rng, rows, inner)
+        b = _mixed_matrix(field, rng, inner, cols)
+        prod = a @ b
+        assert prod == _oracle_matmul(a, b) and prod.shape == (rows, cols)
+        v = [row[0] for row in b.data] if cols else [field.one()] * inner
+        assert matvec(a, v) == [x for x, in _oracle_matmul(a, Matrix(field, [[x] for x in v], 1)).data]
+        if field == QQ:
+            entries = [x for row in prod.data for x in row] + matvec(a, v)
+            assert all(type(x) is Fraction and x.denominator > 0
+                       and math.gcd(x.numerator, x.denominator) == 1 for x in entries)
+    # numerators and denominators past 2^64 really are drawn
+    drawn = [x for row in _mixed_matrix(QQ, rng, 9, 9).data for x in row]
+    assert any(abs(x.numerator) > 2**64 for x in drawn) and any(x.denominator > 2**64 for x in drawn)
+
+
+def test_matvec_coerces_and_rejects_like_the_constructor():
+    m = Matrix(QQ, [[1, Fraction(1, 2)], [0, 3]])
+    assert matvec(m, [2, -4]) == [Fraction(0), Fraction(-12)]
+    assert matvec(Matrix(GF, [[1, 1]]), [-1, -1]) == [GF.p - 2]
+    assert matvec(Matrix.zeros(QQ, 3, 0), []) == [Fraction(0)] * 3
+    for field in (QQ, GF):
+        with pytest.raises(ShapeError):
+            matvec(Matrix(field, [[1, 2]]), [1])
+        with pytest.raises(DomainError):
+            matvec(Matrix(field, [[1, 2]]), [1, 0.5])
 
 
 def test_rank_examples():
