@@ -33,9 +33,9 @@ from .barth import (
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field, PrimeField
-from .linalg import (_STACK_ENTRIES, Matrix, _block_ranks_mod, _cleared_int_rows, _free_kernel, _primes,
-                     _ranks_mod, _residues, _rref_mod, kernel_basis, rank)
-from .monad import PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
+from .linalg import (_STACK_ENTRIES, Matrix, _block_ranks_mod, _cleared_int_rows, _free_kernel, _matmul_mod,
+                     _primes, _ranks_mod, _residues, _rref_mod, kernel_basis, rank)
+from .monad import GammaMatrix, PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
 CERTIFICATE_VERSION = f"{__version__}+{ALGORITHM_ID}"
@@ -369,6 +369,35 @@ def _sample_direction(rng: SeededRng, field: Field) -> list:
     raise SamplingError("could not sample a nonzero direction in 64 attempts")
 
 
+def _point_ranks(gamma: GammaMatrix, rng: SeededRng, points: int) -> tuple[bool, int]:
+    """Whether alpha(v) has full rank n at `points` directions v drawn in
+    order from `rng`, and how many were checked: up to the first that fails.
+
+    alpha(v) = gamma (v (x) I_n) is linear in v, and row a of alpha(v) comes
+    from row a of gamma, so scaling a row of gamma or a whole v changes no
+    rank.  Every alpha(v) of a stack of directions is built from the cleared
+    integer gamma and directions mod p by one `_matmul_mod`, and ranked by
+    one `_ranks_mod`; over QQ p is the first prime of the QQ elimination.
+    Full rank mod p is full rank, and only a direction short mod p is ranked
+    again, exactly (`point_rank_check`), so every verdict is the exact
+    one.  A stack holds at most _STACK_ENTRIES entries of alpha.
+    """
+    field, n = gamma.field, gamma.n
+    p = field.p if isinstance(field, PrimeField) else next(_primes())
+    # (4, (2n+2) n): row j is the column block C_{j+1} of gamma, flattened
+    blocks = _residues(_cleared_int_rows(gamma.body), p).reshape(2 * n + 2, 4, n).transpose(1, 0, 2)
+    blocks = blocks.reshape(4, -1)
+    step = max(1, _STACK_ENTRIES // blocks.shape[1])
+    for lo in range(0, points, step):
+        directions = [_sample_direction(rng, field) for _ in range(min(step, points - lo))]
+        v = _residues(_cleared_int_rows(Matrix._raw(field, directions, 4)), p)
+        ranks = _ranks_mod(_matmul_mod(v, blocks, p).reshape(len(directions), 2 * n + 2, n), p)
+        for i, (r, direction) in enumerate(zip(ranks, directions)):
+            if r < n and not point_rank_check(gamma, direction):
+                return False, lo + i + 1
+    return True, points
+
+
 def _check_witness_args(n: int, points: int) -> None:
     # called from the public entry points, so the warning names their caller
     _require_count(n, "charge n")
@@ -390,9 +419,11 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
     rank 2 everywhere including infinity, the Gram blocks of gamma satisfy
     the monad condition, gamma(v) has full rank at `points` random
     directions v, and the Jacobian of the slice equations at the point has
-    full row rank 3n(n-1)/2.  While the kernel is larger than the span of
-    the canonical solutions, a point in that span, where b_i is a multiple
-    of a_i and the pencil fails, is drawn again, at most 64 times.
+    full row rank 3n(n-1)/2.  The directions are ranked together mod p,
+    and exactly only where short mod p (`_point_ranks`); the first that
+    fails ends the check.  While the kernel is larger than the span of the
+    canonical solutions, a point in that span, where b_i is a multiple of
+    a_i and the pencil fails, is drawn again, at most 64 times.
     """
     _check_witness_args(n, points)
     return _witness_report(n, rng, field, points)
@@ -423,15 +454,7 @@ def _witness_report(n: int, rng: SeededRng, field: Field, points: int) -> Witnes
     gamma = build_gamma(x)
     monad_ok = monad_condition(gamma)
 
-    dir_rng = rng.substream(f"witness/n={n}/points")
-    points_ok = True
-    checked = 0
-    for _ in range(points):
-        v = _sample_direction(dir_rng, field)
-        checked += 1
-        if not point_rank_check(gamma, v):
-            points_ok = False
-            break
+    points_ok, checked = _point_ranks(gamma, rng.substream(f"witness/n={n}/points"), points)
 
     jac_rank = rank(jacobian(x))
     equations = 3 * n * (n - 1) // 2

@@ -19,10 +19,13 @@ canonical form.  Products and eliminations run on numpy integer arrays:
   are written at the constants below).  Rows are updated a panel height at
   a time, so the float64 temporaries stay a few hundred kB instead of
   copies of the whole matrix;
-* over QQ, through those images: integer rows with the same row space,
-  reduced mod a fixed sequence of primes below 2**31, are combined by CRT
-  and read back by rational reconstruction (Wang 1981; Monagan, ISSAC 2004)
-  until the kernel of the candidate annihilates them exactly (see below);
+* over QQ, through one of those images: integer rows with the same row
+  space are reduced mod a prime below 2**31, and the image is lifted
+  p-adically, one digit per step (Dixon, Numer. Math. 1982), and read back
+  by rational reconstruction (Wang 1981; Monagan, ISSAC 2004) until the
+  candidate is an echelon form whose kernel annihilates the rows exactly;
+  an unlucky prime fails that check and the next prime is tried (see
+  below);
 * for stacks of small matrices whose ranks alone are needed (the census),
   `_ranks_mod` eliminates the whole stack at once, forward only, on the
   same dtypes; matrices of block form [[L1, 0], [0, L2], [L2, L1]] are
@@ -43,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, InvariantError, ShapeError
-from .fields import DEFAULT_PRIME, Field, PrimeField, RationalField, is_prime
+from .fields import DEFAULT_PRIME, Field, PrimeField, is_prime
 
 # Exactness bounds for p < 2**31, where entries sit below 2**31:
 # * int64 rank-1 update: a pivot-column entry times a pivot-row entry is
@@ -464,25 +467,43 @@ def _swap_in_pivots(act: np.ndarray, stuck: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# QQ: the reduced echelon form rebuilt from GF(p) images
+# QQ: the reduced echelon form lifted p-adically from one GF(p) image
+#
+# Dixon, "Exact solution of linear equations using p-adic expansions", Numer.
+# Math. 40 (1982).  Let A be the cleared integer rows, R their RREF over QQ
+# with r pivots P and free columns F, and X = R[:r, F].  Every row of A is a
+# combination of R's rows with its own entries at P as coefficients, so
+# A[:, P] X = A[:, F].  The image of A mod p, if it has the pivots P, has
+# X mod p at F: that is the first digit X_0.  Further digits need T with
+# T A[:, P] = I mod p, which the RREF of [A[:, P] | I] holds in the rows of
+# the pivots (every row of A is carried, so no independent rows need
+# choosing).  With B_0 = A[:, F], B_{k+1} = (B_k - A[:, P] X_k) / p, exactly,
+# and X_{k+1} = T B_{k+1} mod p, the sum X_0 + X_1 p + ... + X_k p**k is X mod
+# p**(k+1), and rational reconstruction reads X back from it.  A residual
+# B_k - A[:, P] X_k that p does not divide shows that A[:, F] is not A[:, P]
+# times a p-integral X: the prime is unlucky.
 #
 # Certificate for a candidate R with r pivots P and denominator d.  Rank mod
-# p is at most rank over QQ, so the image gives rank L >= r.  K, R's kernel
+# p is at most rank over QQ, so the image gives rank A >= r.  K, R's kernel
 # in free-column form (column f: d at f, -d R[i][f] at P[i], 0 elsewhere),
-# has cols - r independent columns, so L K == 0 gives rank L <= r.  Then
-# ker L = span K fixes the row space, and R, which annihilates K, is the
-# identity at P and (like every image) zero left of each pivot, is its RREF.
-# A prime is unlucky (fewer or later pivots) only if it divides D, a nonzero
-# r x r minor of L at the true pivots; every other image is R mod p.  D and
-# each D R[i][f] are minors, at most the Hadamard bound H: past 2 H**3 of
-# primes tried, the lucky ones pass 2 H**2 and reconstruct R exactly.
+# has cols - r independent columns, so A K == 0 gives rank A <= r.  Then
+# ker A = span K fixes the row space, and R, which annihilates K, is the
+# identity at P and zero left of each pivot, is its RREF.  An image with
+# other pivots, a zero image of a nonzero A included, fails the check.  A
+# prime is unlucky (fewer or later pivots) only if it divides D, a nonzero
+# r x r minor of A at the true pivots; for every other prime X is p-integral
+# and its digits converge.  D and each D R[i][f] are minors, at most the
+# Hadamard bound H, so a lucky prime certifies once p**k passes 2 H**2, and
+# fewer than log_p H primes are unlucky: past a product H of primes tried, a
+# failure is a bug, not bad luck.
 
 
 def _cleared(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Each row of Fractions times the lcm of its denominators, as Python
     ints, and those lcms."""
-    lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (k // x.denominator) for x in row] for row, k in zip(rows, lcms)], lcms
+    lcms = [math.lcm(*{x.denominator for x in row}) for row in rows]
+    return [[x.numerator for x in row] if k == 1 else [x.numerator * (k // x.denominator) for x in row]
+            for row, k in zip(rows, lcms)], lcms
 
 
 def _cleared_int_rows(m: Matrix) -> np.ndarray:
@@ -495,13 +516,6 @@ def _primes() -> Iterator[int]:
     """Every prime below 2**31 from DEFAULT_PRIME down, a fixed sequence:
     QQ results are fixed."""
     return filter(is_prime, range(DEFAULT_PRIME, 1, -2))
-
-
-def _images(ints: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[int]]]:
-    """(p, RREF mod p, pivots) of an integer matrix for every prime of
-    `_primes`."""
-    for p in _primes():
-        yield (p, *_rref_mod(_residues(ints, p), p))
 
 
 def _reconstruct(block: np.ndarray, modulus: int) -> tuple[int, np.ndarray] | None:
@@ -524,37 +538,63 @@ def _reconstruct(block: np.ndarray, modulus: int) -> tuple[int, np.ndarray] | No
         d *= abs(s1)
 
 
-def _kernel_annihilated(ints: np.ndarray, pivots: list, free: list, d: int, num: np.ndarray) -> bool:
-    """L K == 0 in Python ints, for K read off the candidate (d, num)."""
-    return np.array_equal(ints[:, free] * d, ints[:, pivots] @ num)
+def _certified(ints: np.ndarray, pivots: list, free: list, d: int, num: np.ndarray) -> bool:
+    """The candidate (d, num) is zero left of each pivot, and A K == 0 in
+    Python ints for K read off it."""
+    left = np.array(free, dtype=np.intp)[None, :] < np.array(pivots, dtype=np.intp)[:, None]
+    return not num[left].any() and np.array_equal(ints[:, free] * d, ints[:, pivots] @ num)
 
 
-def _rref_qq(m: Matrix) -> tuple[np.ndarray, list[int]]:
-    """Images with the most, lexicographically least pivots win (none beats QQ) and
-    are combined; reconstruct after 1, 2, 4, ... of them until the check passes."""
-    ints = _cleared_int_rows(m)
-    cap = 2 * math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in ints.tolist()) ** 3
-    tried, best = 1, None
-    for p, arr, pivots in _images(ints):
+def _lifted(ints: np.ndarray, a: np.ndarray, red: np.ndarray, pivots: list, p: int,
+            big: int, limit: int) -> tuple[int, np.ndarray] | None:
+    """The certified (d, num) of X = R[:r, free], lifted from the image `red`
+    of the residues `a` of A = `ints` mod p (see above), reconstructed after
+    1, 2, 4, ... digits and once p**k passes `limit`; None if p turns out
+    unlucky.  `big` bounds every |entry| of A."""
+    r = len(pivots)
+    free = sorted(set(range(a.shape[1])) - set(pivots))
+    lhs, b = ints[:, pivots], ints[:, free]
+    # int64 while |B_k - A[:, P] X_k| <= |B_0| + r big p stays below 2**63
+    # (then every |B_k| <= max(|B_0|, r big)); Python ints past it
+    if r * big * p + big < 1 << 63:
+        lhs, b = lhs.astype(np.int64), b.astype(np.int64)
+    # the image is X mod p, the first digit: an RREF one digit tall needs no T
+    xk, t = red[:r, free], None
+    x, modulus, steps = np.zeros(xk.shape, dtype=object), 1, 0
+    while True:
+        b = b - lhs @ xk
+        if (b % p).any():  # A[:, free] is not in the span of A[:, pivots] over Z_(p)
+            return None
+        b //= p
+        x, modulus, steps = x + xk.astype(object) * modulus, modulus * p, steps + 1
+        if steps & (steps - 1) == 0 or modulus > limit:
+            found = _reconstruct(x, modulus)
+            if found and _certified(ints, pivots, free, *found):
+                return found
+            if modulus > limit:
+                return None
+        if t is None:  # T A[:, P] = I mod p, from the RREF of [A[:, P] | I]
+            aug = np.concatenate([a[:, pivots], np.eye(len(a), dtype=a.dtype)], axis=1)
+            t = _rref_mod(aug, p)[0][:r, r:]
+        xk = _matmul_mod(t, _residues(b, p), p)
+
+
+def _rref_qq(ints: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
+    """The RREF over QQ of the integer matrix `ints` as d, its numerators d
+    R[:r, free] (Python ints) at the free columns, and its pivots: lifted
+    from the first prime that is not unlucky."""
+    norms = [math.isqrt(sum(v * v for v in row)) + 1 for row in ints.tolist()]
+    hadamard = math.prod(norms)
+    tried = 1
+    for p in _primes():
+        a = _residues(ints, p)
+        red, pivots = _rref_mod(a, p)
+        found = _lifted(ints, a, red, pivots, p, max(norms, default=0), 2 * hadamard ** 2)
+        if found:
+            return (*found, pivots)
         tried *= p
-        if best is None or (-len(pivots), pivots) < (-len(best), best):  # restart the CRT
-            free = sorted(set(range(m.cols)) - set(pivots))
-            best, kept, modulus, block = pivots, 0, 1, np.zeros((len(pivots), len(free)), dtype=object)
-        if pivots == best:  # CRT: x == block (mod modulus), x == image (mod p)
-            lift = (arr[:len(best), free] - (block % p).astype(np.int64)) % p
-            block = block + modulus * (lift * pow(modulus, -1, p) % p).astype(object)
-            kept, modulus = kept + 1, modulus * p
-        if (pivots == best and kept & (kept - 1) == 0) or tried > cap:
-            found = _reconstruct(block, modulus)
-            if found and _kernel_annihilated(ints, best, free, *found):
-                break
-            if tried > cap:
-                raise InvariantError("QQ echelon form not certified within the Hadamard bound")
-    d, num = found
-    out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
-    out[:len(best), free] = num * Fraction(1, d)
-    out[range(len(best)), best] = Fraction(1)
-    return out, best
+        if tried > hadamard:
+            raise InvariantError("QQ echelon form not certified within the Hadamard bound")
 
 
 def _rref_array(m: Matrix) -> tuple[np.ndarray, list[int]]:
@@ -562,7 +602,11 @@ def _rref_array(m: Matrix) -> tuple[np.ndarray, list[int]]:
     or Fractions), and its pivot columns."""
     if isinstance(m.field, PrimeField):
         return _rref_mod(_to_np(m), m.field.p)
-    return _rref_qq(m)
+    d, num, pivots = _rref_qq(_cleared_int_rows(m))
+    out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
+    out[:len(pivots), sorted(set(range(m.cols)) - set(pivots))] = np.frompyfunc(Fraction, 2, 1)(num, d)
+    out[range(len(pivots)), pivots] = Fraction(1)
+    return out, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -573,12 +617,14 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    if isinstance(m.field, RationalField):
-        # full rank mod p is full rank over QQ, whose rank is no smaller
-        _, _, pivots = next(_images(_cleared_int_rows(m)))
-        if len(pivots) == min(m.rows, m.cols):
-            return len(pivots)
-    return len(_rref_array(m)[1])
+    if isinstance(m.field, PrimeField):
+        return len(_rref_mod(_to_np(m), m.field.p)[1])
+    # full rank mod p is full rank over QQ, whose rank is no smaller
+    ints, p = _cleared_int_rows(m), next(_primes())
+    pivots = _rref_mod(_residues(ints, p), p)[1]
+    if len(pivots) == min(m.rows, m.cols):
+        return len(pivots)
+    return len(_rref_qq(ints)[2])
 
 
 def kernel_basis(m: Matrix) -> list[list]:

@@ -6,11 +6,14 @@ reconstruction must agree with independent code paths.
   pivots over GF(2^31 - 1) as the unblocked rank-1 loop kept here as an
   oracle; the object run is exact, so it catches int64 overflow, and the
   oracle catches a blocked update that goes wrong on both dtypes;
-* the QQ reduced echelon form, rebuilt from ``_rref_mod`` images by CRT and
-  rational reconstruction, equals the fraction-free elimination kept here as
-  an oracle, which shares no code with ``_rref_mod``; that includes inputs
-  whose first one, two or three primes are unlucky and an RREF of over 400
-  bits, and a reconstruction that never certifies ends in InvariantError;
+* the QQ reduced echelon form, lifted p-adically from one ``_rref_mod``
+  image and read back by rational reconstruction, equals the fraction-free
+  elimination kept here as an oracle, which shares no code with
+  ``_rref_mod``; that includes inputs whose first one, two or three primes
+  are unlucky, rank-deficient tall and wide inputs lifted over many digits,
+  entries past 2^31 (the Python-int residual), a zero image of a nonzero
+  matrix, the zero matrix and an RREF of over 400 bits, and a
+  reconstruction that never certifies ends in InvariantError;
 * ranks agree between GF(2^31 - 1), GF(2^61 - 1) and QQ;
 * the QQ reduced echelon form and kernel basis, reduced mod p, equal the
   GF(p) ones for p = 2^31 - 1 (int64) and p = 2^61 - 1 (object), which
@@ -37,8 +40,8 @@ from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
 from barthslice.census import sample_half, witness_pipeline
 from barthslice.errors import InvariantError
 from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
-from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _free_kernel, _from_np, _images,
-                               _matmul_mod, _rref_array, _rref_mod, _to_np, kernel_basis, rank, rref)
+from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _free_kernel, _from_np, _matmul_mod,
+                               _residues, _rref_array, _rref_mod, _to_np, kernel_basis, rank, rref)
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -57,12 +60,13 @@ def _over(field, m: Matrix) -> Matrix:
     return Matrix(field, [[int(x) for x in row] for row in m.data], m.cols)
 
 
-def _random(rng, rows, cols) -> Matrix:
-    return Matrix(QQ, [[QQ.sample(rng) for _ in range(cols)] for _ in range(rows)], cols)
+def _random(rng, rows, cols, window=3) -> Matrix:
+    field = RationalField(sample_window=window)
+    return Matrix(QQ, [[field.sample(rng) for _ in range(cols)] for _ in range(rows)], cols)
 
 
-def _low_rank(rng, rows, cols, k) -> Matrix:
-    return _random(rng, rows, k) @ _random(rng, k, cols)
+def _low_rank(rng, rows, cols, k, window=3) -> Matrix:
+    return _random(rng, rows, k, window) @ _random(rng, k, cols, window)
 
 
 def _zero_panel(rng, rows, cols, k) -> Matrix:
@@ -151,7 +155,8 @@ CASES = [
 # n = 16); the other differential tests still cover them over QQ.
 ORACLE_SLOW = {"fiber-n10", "fiber-n12", "fiber-n16", "tall-400x150"}
 # the first primes of the QQ elimination's sequence, which the test below checks
-P1, P2, P3 = islice(filter(is_prime, range(DEFAULT_PRIME, 1, -2)), 3)
+PRIMES = list(islice(filter(is_prime, range(DEFAULT_PRIME, 1, -2)), 4))
+P1, P2, P3 = PRIMES[:3]
 # label -> (matrix, how many primes of the sequence are unlucky for it):
 # a pivot or a minor divisible by the first one, two and three primes
 UNLUCKY = {
@@ -163,11 +168,29 @@ UNLUCKY = {
     "pivot-p1p2p3": (Matrix(QQ, [[P1 * P2 * P3, 1]]), 3),
     "minor-p1p2p3": (Matrix(QQ, [[1, 1, 1], [1, 1 + P1 * P2 * P3, 2]]), 3),
 }
-# an RREF hundreds of bits tall: more than 16 primes
+# an RREF hundreds of bits tall: more than 16 lifting steps
 TALL = fiber_system(sample_half(SeededRng(1).substream("fiber/7"), RationalField(sample_window=100), 7))
+# the lifting past its first digit: products of rank 3 with entries up to
+# 10^6, a tall one and a wide one, whose RREFs are ratios of 3 x 3 minors
+# near 2^120; and entries past 2^31, where r max|A| p passes 2^63 and the
+# residual runs on Python ints
+LIFTED = {
+    "rank3-9x6-lifted": _low_rank(_RNG.substream("lifted/9x6"), 9, 6, 3, 10**6),
+    "rank3-5x12-lifted": _low_rank(_RNG.substream("lifted/5x12"), 5, 12, 3, 10**6),
+    "random-6x8-past-2^31": _random(_RNG.substream("lifted/6x8"), 6, 8, 2**40),
+}
+# a zero image: every entry a multiple of the first prime; a minor L[S, P]
+# singular mod the first prime only; the zero matrix
+EDGES = {
+    "multiple-of-p1": Matrix(QQ, [[P1 * x for x in row] for row in RANDOM["random-3x7"].data]),
+    "minor-p1": Matrix(QQ, [[1, 1, 2], [1, 1 + P1, 3], [2, 2 + P1, 5]]),
+    "zero-3x4": Matrix(QQ, [[0] * 4] * 3),
+}
 ORACLE_CASES = [
     *((label, m) for label, m in CASES if label not in ORACLE_SLOW),
     *((label, m) for label, (m, _) in UNLUCKY.items()),
+    *LIFTED.items(),
+    *EDGES.items(),
     ("tall-n7-window100", TALL),
 ]
 
@@ -183,15 +206,31 @@ def _rref61(label: str, m: Matrix) -> tuple[np.ndarray, list[int]]:
     return _RREF61[label]
 
 
-def _count_images(monkeypatch) -> list:
-    calls = []
+def _count_primes(monkeypatch) -> list:
+    """The primes the QQ elimination draws, recorded as it draws them."""
+    drawn = []
+    primes = linalg._primes
 
-    def counted(a, p):
-        calls.append(p)
-        return _rref_mod(a, p)
+    def counted():
+        for p in primes():
+            drawn.append(p)
+            yield p
 
-    monkeypatch.setattr(linalg, "_rref_mod", counted)
-    return calls
+    monkeypatch.setattr(linalg, "_primes", counted)
+    return drawn
+
+
+def _count_moduli(monkeypatch) -> list:
+    """The moduli p^k of every rational reconstruction."""
+    moduli = []
+    reconstruct = linalg._reconstruct
+
+    def counted(block, modulus):
+        moduli.append(modulus)
+        return reconstruct(block, modulus)
+
+    monkeypatch.setattr(linalg, "_reconstruct", counted)
+    return moduli
 
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
@@ -225,31 +264,53 @@ def test_rational_rref_matches_fraction_free_oracle(label, m):
 
 
 @pytest.mark.parametrize("label", UNLUCKY)
-def test_unlucky_primes_are_dropped(label):
+def test_unlucky_primes_are_dropped(label, monkeypatch):
     m, unlucky = UNLUCKY[label]
-    pivots = rref(m)[1]
-    images = list(islice(_images(_cleared_int_rows(m)), unlucky + 1))
-    assert [p for p, _, _ in images][:3] == [P1, P2, P3][:unlucky + 1]
-    assert [image != pivots for _, _, image in images] == [True] * unlucky + [False]
+    drawn = _count_primes(monkeypatch)
+    red, pivots = rref(m)
+    # the first `unlucky` primes have other pivots, and the lifting moved on
+    assert drawn == PRIMES[:unlucky + 1]
+    ints = _cleared_int_rows(m)
+    assert [_rref_mod(_residues(ints, p), p)[1] != pivots for p in drawn] == [True] * unlucky + [False]
+    assert (red.data, pivots) == _oracle_rref_qq(m)
     assert rank(m) == len(pivots)
 
 
 def test_tall_rref_needs_more_than_16_primes(monkeypatch):
-    calls = _count_images(monkeypatch)
+    # more than 16 lifting steps of one prime: the p-adic digits take the
+    # place of the CRT's primes
+    drawn, moduli = _count_primes(monkeypatch), _count_moduli(monkeypatch)
     red = rref(TALL)[0]
-    assert len(calls) > 16
+    assert drawn == [P1]
+    assert moduli[-1] > P1**16
     assert max(abs(x.numerator).bit_length() for row in red.data for x in row) >= 400
 
 
 def test_uncertified_reconstruction_raises_instead_of_looping(monkeypatch):
-    calls = _count_images(monkeypatch)
-    monkeypatch.setattr(linalg, "_kernel_annihilated", lambda *args: False)
+    drawn = _count_primes(monkeypatch)
+    monkeypatch.setattr(linalg, "_certified", lambda *args: False)
     for m, _ in UNLUCKY.values():
-        calls.clear()
+        drawn.clear()
         with pytest.raises(InvariantError):
             rref(m)
-        # every Hadamard bound H here is below 2^95, and 2 H^3 < 2^300
-        assert 0 < len(calls) <= 10
+        # every Hadamard bound H here is below 2^95, and the primes are past
+        # 2^30: the primes tried multiply past H within four
+        assert 0 < len(drawn) <= 4
+
+
+@pytest.mark.parametrize("label", [*LIFTED, "minor-p1", "multiple-of-p1"])
+def test_lifting_runs_past_the_first_digit_or_prime(label, monkeypatch):
+    m = {**LIFTED, **EDGES}[label]
+    drawn, moduli = _count_primes(monkeypatch), _count_moduli(monkeypatch)
+    red, pivots = rref(m)
+    assert (red.data, pivots) == _oracle_rref_qq(m)
+    if label in LIFTED:  # one prime, reconstructed after 1, 2, 4, ... digits
+        assert drawn == [P1] and moduli[:2] == [P1, P1**2]
+    else:  # the first prime's image has other pivots; the second certifies
+        assert drawn == [P1, P2]
+    if label == "random-6x8-past-2^31":
+        big = max(math.isqrt(sum(v * v for v in row)) + 1 for row in _cleared_int_rows(m).tolist())
+        assert len(pivots) * big * P1 >= 2**63
 
 
 def test_rational_witness_past_the_full_rank_exit():

@@ -21,7 +21,12 @@
   width is settled without an exact `rank`;
 * the family verdict (dim 4 and the four canonical solutions independent)
   equals the kernel-span comparison it replaced, kept here as the oracle;
-* no stack the census eliminates holds more than `_STACK_ENTRIES` entries.
+* no stack the census eliminates holds more than `_STACK_ENTRIES` entries;
+* witness point ranks: the batched mod-p ranks of every alpha(v) give the
+  same `point_ranks_ok` and `points_checked` as the exact per-direction
+  loop they replaced, kept here as the oracle, over QQ windows 1, 2 and 5,
+  GF(2^31 - 1) and GF(2^61 - 1); a planted rank drop stops the loop at its
+  direction, and a drop mod p only runs the exact check and passes.
 """
 
 from fractions import Fraction
@@ -35,10 +40,11 @@ from barthslice import linalg
 from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_stack, _krylov_kernels,
                               canonical_fiber_solutions, fiber_from_vec, fiber_system, half_from_vec,
                               jacobian, residual, sym_index, vec_fiber, vec_half, vec_skew)
-from barthslice.census import _census_ranks, fiber_census, sample_half
+from barthslice.census import _census_ranks, _point_ranks, _sample_direction, fiber_census, sample_half
 from barthslice.fields import PrimeField, RationalField
 from barthslice.linalg import (_STACK_ENTRIES, Matrix, _ranks_mod, kernel_basis, rank,
                                spans_match)
+from barthslice.monad import GammaMatrix, build_gamma, evaluate_alpha, point_rank_check
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -435,3 +441,87 @@ def test_census_stacks_stay_within_the_entry_budget(monkeypatch):
         kind.clear()
     fiber_census(8, 3, SeededRng(87), GF61, check_family=True)
     assert [[dtype for _, dtype in shapes[kind]] for kind in shapes] == [[object]] * 4
+
+
+# ---------------------------------------------------------------------------
+# witness point ranks
+
+
+def _loop_point_ranks(gamma: GammaMatrix, rng: SeededRng, points: int) -> tuple[bool, int]:
+    """The per-direction loop the batched ranks replaced: draw a direction,
+    rank alpha(v) exactly, stop at the first that falls short."""
+    for i in range(points):
+        if not point_rank_check(gamma, _sample_direction(rng, gamma.field)):
+            return False, i + 1
+    return True, points
+
+
+POINT_FIELDS = [RationalField(sample_window=1), RationalField(sample_window=2), QQ, GF31, GF61]
+
+
+def _planted_gamma(field, n: int, rng: SeededRng, v: list, shift: int) -> GammaMatrix:
+    """A random gamma whose column blocks satisfy sum_j v_j C_j[:, 0] = shift
+    * (1, 2, 3, ...): alpha(v) has the column shift * (1, 2, ...) first, zero
+    for shift 0."""
+    body = [[field.sample(rng) for _ in range(4 * n)] for _ in range(2 * n + 2)]
+    for a, row in enumerate(body):
+        rest = field.zero()
+        for j in range(3):
+            rest = field.add(rest, field.mul(v[j], row[j * n]))
+        row[3 * n] = field.div(field.sub(field.coerce(shift * (a + 1)), rest), v[3])
+    return GammaMatrix(n, Matrix(field, body))
+
+
+@pytest.mark.parametrize("field", POINT_FIELDS, ids=["QQ1", "QQ2", "QQ5", "GF31-int64", "GF61-object"])
+def test_batched_point_ranks_equal_the_loop(field):
+    # the rank condition reads gamma alone, so the points need not lie on the
+    # slice; at seeds 0, 3 and 6 alpha(v) at one drawn direction gets the
+    # first column 0, P31 * (1, 2, ...) or 2 P31 * (1, 2, ...)
+    for n in range(2, 9):
+        for seed in range(8):
+            rng = SeededRng(seed).substream(f"points/n={n}")
+            if seed % 3 == 0:
+                draw = rng.substream("directions")
+                directions = [_sample_direction(draw, field) for _ in range(32)]
+                i = next(k for k in range(4 * seed, 32) if directions[k][3] != field.zero())
+                gamma = _planted_gamma(field, n, rng.substream("gamma"), directions[i], seed // 3 * P31)
+            else:
+                half = sample_half(rng.substream("half"), field, n)
+                fiber = fiber_from_vec(field, n, [field.sample(rng) for _ in range(n * (n + 3))])
+                gamma = build_gamma(SliceData(half, fiber))
+            expected = _loop_point_ranks(gamma, rng.substream("directions"), 32)
+            assert _point_ranks(gamma, rng.substream("directions"), 32) == expected, (n, seed)
+
+
+@pytest.mark.parametrize("field", [QQ, GF31, GF61], ids=["QQ", "GF31-int64", "GF61-object"])
+def test_planted_rank_drop_stops_the_points_at_its_direction(field):
+    n, points = 5, 32
+    rng = SeededRng(91)
+    draw = rng.substream("directions")
+    directions = [_sample_direction(draw, field) for _ in range(points)]
+    i = next(k for k in range(9, points) if directions[k][3] != field.zero())
+    gamma = _planted_gamma(field, n, rng.substream("gamma"), directions[i], 0)
+    assert _loop_point_ranks(gamma, rng.substream("directions"), points) == (False, i + 1)
+    assert _point_ranks(gamma, rng.substream("directions"), points) == (False, i + 1)
+
+
+def test_rank_short_mod_p_only_runs_the_exact_check(monkeypatch):
+    # alpha(v) at direction i has the first column P31 * (1, 2, ...): zero
+    # mod the first prime, where the rank falls short, and full rank over QQ
+    n, points = 5, 32
+    rng = SeededRng(92)
+    draw = rng.substream("directions")
+    directions = [_sample_direction(draw, QQ) for _ in range(points)]
+    i = next(k for k in range(9, points) if directions[k][3] != 0)
+    gamma = _planted_gamma(QQ, n, rng.substream("gamma"), directions[i], P31)
+    exact = []
+
+    def counted(g, v):
+        exact.append(v)
+        return point_rank_check(g, v)
+
+    monkeypatch.setattr(census_module, "point_rank_check", counted)
+    assert _point_ranks(gamma, rng.substream("directions"), points) == (True, points)
+    assert exact == [directions[i]]
+    alpha = linalg._cleared_int_rows(evaluate_alpha(gamma, directions[i]))
+    assert rank(Matrix(GF31, alpha.tolist())) < n == rank(evaluate_alpha(gamma, directions[i]))

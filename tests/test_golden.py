@@ -3,9 +3,9 @@
 Together the commands cover the RREF and the census's batched rank
 elimination on both numpy dtypes, int64 for GF(2^31 - 1) and Python ints
 for a prime past 2^31, and over the rationals, where both run on GF(p)
-images; the witness runs once over QQ and once over GF(2^31 - 1).  A change
-that alters a single stdout byte (certificate layout, draw order, kernel
-basis, a rank) fails here.
+images; the witness runs over QQ at windows 1, 5 and 100, over
+GF(2^31 - 1) and over GF(2^61 - 1).  A change that alters a single stdout
+byte (certificate layout, draw order, kernel basis, a rank) fails here.
 """
 
 import hashlib
@@ -62,6 +62,13 @@ GOLDEN = [
     # denominators through every QQ product
     ("witness --n-min 4 --n-max 7 --prime rational --seed 2",
      "60b912aee797eeb99a4b21fb15ff2a41251778403f5cce421ff043238cdcd501"),
+    # the rational witness at window 1: small, degenerate draws through the
+    # lifted echelon forms and the batched point ranks
+    ("witness --n-min 4 --n-max 7 --prime rational --window 1 --seed 1",
+     "af1d8c52dde68064eb13f74186fbb4a3a7060f0da5e5c93866141191c167c318"),
+    # the witness over GF(2^61 - 1): Python-int (dtype=object) point-rank stacks
+    ("witness --n-min 4 --n-max 7 --prime 2305843009213693951 --seed 1",
+     "21b643b88e04d87927fa50d315dfc72fb9a37e889cc9f77f860a0db1f65c6f2b"),
 ]
 
 
