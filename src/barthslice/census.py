@@ -377,13 +377,15 @@ def _point_ranks(gamma: GammaMatrix, rng: SeededRng, points: int) -> tuple[bool,
     from row a of gamma, so scaling a row of gamma or a whole v changes no
     rank.  Every alpha(v) of a stack of directions is built from the cleared
     integer gamma and directions mod p by one `_matmul_mod`, and ranked by
-    one `_ranks_mod`; over QQ p is the first prime of the QQ elimination.
-    Full rank mod p is full rank, and only a direction short mod p is ranked
-    again, exactly (`point_rank_check`), so every verdict is the exact
-    one.  A stack holds at most _STACK_ENTRIES entries of alpha.
+    one `_ranks_mod`.  Over GF(p) that is the exact rank.  Over QQ p is the
+    first prime of the QQ elimination: full rank mod p is full rank, and
+    only a direction short mod p is ranked again, exactly
+    (`point_rank_check`).  So every verdict is the exact one.  A stack holds
+    at most _STACK_ENTRIES entries of alpha.
     """
     field, n = gamma.field, gamma.n
-    p = field.p if isinstance(field, PrimeField) else next(_primes())
+    prime = isinstance(field, PrimeField)
+    p = field.p if prime else next(_primes())
     # (4, (2n+2) n): row j is the column block C_{j+1} of gamma, flattened
     blocks = _residues(_cleared_int_rows(gamma.body), p).reshape(2 * n + 2, 4, n).transpose(1, 0, 2)
     blocks = blocks.reshape(4, -1)
@@ -393,25 +395,13 @@ def _point_ranks(gamma: GammaMatrix, rng: SeededRng, points: int) -> tuple[bool,
         v = _residues(_cleared_int_rows(Matrix._raw(field, directions, 4)), p)
         ranks = _ranks_mod(_matmul_mod(v, blocks, p).reshape(len(directions), 2 * n + 2, n), p)
         for i, (r, direction) in enumerate(zip(ranks, directions)):
-            if r < n and not point_rank_check(gamma, direction):
+            if r < n and (prime or not point_rank_check(gamma, direction)):
                 return False, lo + i + 1
     return True, points
 
 
-def _check_witness_args(n: int, points: int) -> None:
-    # called from the public entry points, so the warning names their caller
-    _require_count(n, "charge n")
-    _require_count(points, "points")
-    if not 4 <= n <= 7:
-        warnings.warn(
-            f"witness certification is calibrated for 4 <= n <= 7, got n={n}; "
-            "the pencil and rank conditions may fail generically",
-            stacklevel=3,
-        )
-
-
-def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
-                     points: int = 32) -> WitnessReport:
+def witness_certificate(n: int, rng: SeededRng, field: Field, *,
+                        points: int = 32, measure_timings: bool = False) -> Certificate:
     """Certify one random point of the slice at charge n.
 
     Draws a half datum, solves the fiber system exactly, picks a random
@@ -420,19 +410,23 @@ def witness_pipeline(n: int, rng: SeededRng, field: Field, *,
     the monad condition, gamma(v) has full rank at `points` random
     directions v, and the Jacobian of the slice equations at the point has
     full row rank 3n(n-1)/2.  The directions are ranked together mod p,
-    and exactly only where short mod p (`_point_ranks`); the first that
+    and over QQ exactly where short mod p (`_point_ranks`); the first that
     fails ends the check.  While the kernel is larger than the span of the
     canonical solutions, a point in that span, where b_i is a multiple of
-    a_i and the pencil fails, is drawn again, at most 64 times.
+    a_i and the pencil fails, is drawn again, at most 64 times.  The
+    verdicts are the certificate's `witness`.
     """
-    _check_witness_args(n, points)
-    return _witness_report(n, rng, field, points)
-
-
-def _witness_report(n: int, rng: SeededRng, field: Field, points: int) -> WitnessReport:
+    _require_count(n, "charge n")
+    _require_count(points, "points")
+    if not 4 <= n <= 7:
+        warnings.warn(
+            f"witness certification is calibrated for 4 <= n <= 7, got n={n}; "
+            "the pencil and rank conditions may fail generically",
+            stacklevel=2,
+        )
+    start = time.perf_counter()
     half = sample_half(rng.substream(f"witness/n={n}/half"), field, n)
-    system = fiber_system(half)
-    basis = kernel_basis(system)
+    basis = kernel_basis(fiber_system(half))
     if not basis:
         raise WitnessUnavailable("fiber system has trivial kernel")
     width = n * (n + 3)
@@ -448,40 +442,26 @@ def _witness_report(n: int, rng: SeededRng, field: Field, points: int) -> Witnes
     fiber = fiber_from_vec(field, n, point)
     x = SliceData(half, fiber)
 
-    res = residual(x)
-    residual_zero = res.is_zero()
-    pencil = pencil_check(field, half.a1, half.a2, fiber.b1, fiber.b2)
     gamma = build_gamma(x)
-    monad_ok = monad_condition(gamma)
-
     points_ok, checked = _point_ranks(gamma, rng.substream(f"witness/n={n}/points"), points)
-
     jac_rank = rank(jacobian(x))
-    equations = 3 * n * (n - 1) // 2
-    return WitnessReport(
+    report = WitnessReport(
         fiber_dim=len(basis),
-        residual_zero=residual_zero,
-        pencil=pencil,
-        monad_ok=monad_ok,
+        residual_zero=residual(x).is_zero(),
+        pencil=pencil_check(field, half.a1, half.a2, fiber.b1, fiber.b2),
+        monad_ok=monad_condition(gamma),
         point_ranks_ok=points_ok,
         points_checked=checked,
         jacobian_rank=jac_rank,
-        jacobian_full=jac_rank == equations,
+        jacobian_full=jac_rank == 3 * n * (n - 1) // 2,
     )
-
-
-def witness_certificate(n: int, rng: SeededRng, field: Field, *,
-                        points: int = 32, measure_timings: bool = False) -> Certificate:
-    _check_witness_args(n, points)
-    start = time.perf_counter()
-    report = _witness_report(n, rng, field, points)
     cert = Certificate(
         version=CERTIFICATE_VERSION,
         seed=rng.seed,
         field=field.describe(),
         n=n,
         trials=1,
-        fiber_dims={report.fiber_dim: 1},
+        fiber_dims={len(basis): 1},
         family_check=None,
         witness=report,
         timings_ms=_timings_ms(start, measure_timings),

@@ -127,8 +127,6 @@ def _resolve_range(args) -> tuple[int, int]:
         hi = lo
     if lo > hi:
         raise UsageError(f"--n-min {lo} exceeds --n-max {hi}")
-    if lo < 1:
-        raise UsageError("charges must be >= 1")
     return lo, hi
 
 
@@ -161,10 +159,6 @@ def _run_dims(args) -> int:
 
 def _run_census(args, *, check_family: bool) -> int:
     lo, hi = _resolve_range(args)
-    if check_family and lo < 8:
-        raise UsageError("family verification applies to n >= 8 only")
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     field = _make_field(args)
     rng = SeededRng(args.seed)
     certs = []
@@ -197,8 +191,6 @@ def _run_census(args, *, check_family: bool) -> int:
 
 def _run_witness(args) -> int:
     lo, hi = _resolve_range(args)
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
     field = _make_field(args)
     rng = SeededRng(args.seed)
     certs = []

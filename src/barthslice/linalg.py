@@ -579,16 +579,23 @@ def _lifted(ints: np.ndarray, a: np.ndarray, red: np.ndarray, pivots: list, p: i
         xk = _matmul_mod(t, _residues(b, p), p)
 
 
-def _rref_qq(ints: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
+def _image(ints: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The residues of `ints` mod p, their RREF and its pivots."""
+    a = _residues(ints, p)
+    return (a, *_rref_mod(a, p))
+
+
+def _rref_qq(ints: np.ndarray, image: tuple | None = None) -> tuple[int, np.ndarray, list[int]]:
     """The RREF over QQ of the integer matrix `ints` as d, its numerators d
     R[:r, free] (Python ints) at the free columns, and its pivots: lifted
-    from the first prime that is not unlucky."""
+    from the first prime that is not unlucky.  `image` is the `_image` of
+    `ints` mod the first prime, when the caller has it."""
     norms = [math.isqrt(sum(v * v for v in row)) + 1 for row in ints.tolist()]
     hadamard = math.prod(norms)
     tried = 1
     for p in _primes():
-        a = _residues(ints, p)
-        red, pivots = _rref_mod(a, p)
+        a, red, pivots = image or _image(ints, p)
+        image = None
         found = _lifted(ints, a, red, pivots, p, max(norms, default=0), 2 * hadamard ** 2)
         if found:
             return (*found, pivots)
@@ -619,12 +626,13 @@ def rank(m: Matrix) -> int:
     """Exact rank over the matrix's field."""
     if isinstance(m.field, PrimeField):
         return len(_rref_mod(_to_np(m), m.field.p)[1])
-    # full rank mod p is full rank over QQ, whose rank is no smaller
-    ints, p = _cleared_int_rows(m), next(_primes())
-    pivots = _rref_mod(_residues(ints, p), p)[1]
-    if len(pivots) == min(m.rows, m.cols):
-        return len(pivots)
-    return len(_rref_qq(ints)[2])
+    # full rank mod p is full rank over QQ, whose rank is no smaller;
+    # otherwise the image is the first of the QQ elimination
+    ints = _cleared_int_rows(m)
+    image = _image(ints, next(_primes()))
+    if len(image[2]) == min(m.rows, m.cols):
+        return len(image[2])
+    return len(_rref_qq(ints, image)[2])
 
 
 def kernel_basis(m: Matrix) -> list[list]:

@@ -21,7 +21,7 @@ from barthslice.census import (
     dimension_formulas,
     fiber_census,
     sample_half,
-    witness_pipeline,
+    witness_certificate,
 )
 from barthslice.fields import PrimeField, RationalField
 from barthslice.linalg import Matrix
@@ -66,7 +66,7 @@ def test_criterion_3_witness_reproduction_rational():
     worst = 0.0
     for n in range(4, 8):
         start = time.perf_counter()
-        rep = witness_pipeline(n, SeededRng(1), qq, points=32)
+        rep = witness_certificate(n, SeededRng(1), qq, points=32).witness
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
         assert rep.residual_zero, n
@@ -81,7 +81,7 @@ def test_criterion_4_jacobian_transversality():
     qq = RationalField(sample_window=5)
     expected = {4: 18, 5: 30, 6: 45, 7: 63}
     for n, target in expected.items():
-        rep = witness_pipeline(n, SeededRng(1), qq, points=32)
+        rep = witness_certificate(n, SeededRng(1), qq, points=32).witness
         assert rep.jacobian_rank == target, (n, rep.jacobian_rank)
         assert rep.jacobian_full
     print("ACCEPTANCE 4 jacobian ranks 18,30,45,63 at n=4..7: PASS")

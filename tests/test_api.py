@@ -66,7 +66,6 @@ PUBLIC_API = [
     "vec_skew",
     "wedge",
     "witness_certificate",
-    "witness_pipeline",
 ]
 
 # Matrix's public attributes and operator methods: a test-only method added

@@ -37,7 +37,7 @@ import pytest
 
 from barthslice import linalg
 from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
-from barthslice.census import sample_half, witness_pipeline
+from barthslice.census import sample_half, witness_certificate
 from barthslice.errors import InvariantError
 from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
 from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _free_kernel, _from_np, _matmul_mod,
@@ -313,13 +313,37 @@ def test_lifting_runs_past_the_first_digit_or_prime(label, monkeypatch):
         assert len(pivots) * big * P1 >= 2**63
 
 
-def test_rational_witness_past_the_full_rank_exit():
-    # at n = 10 the Jacobian is not full rank, so its QQ rank goes through rref
+def _rref_mod_calls(monkeypatch) -> list:
+    """The shape and prime of every `_rref_mod` call, in order."""
+    calls = []
+    rref_mod = linalg._rref_mod
+
+    def counted(a, p):
+        calls.append((a.shape, p))
+        return rref_mod(a, p)
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    return calls
+
+
+def test_qq_rank_makes_one_image_of_a_rank_deficient_matrix(monkeypatch):
+    # the full-rank exit's image mod the first prime is the QQ elimination's
+    # first image, not made again
+    calls = _rref_mod_calls(monkeypatch)
+    assert rank(_low_rank(_RNG.substream("product/6x9/3"), 6, 9, 3)) == 3
+    assert calls == [((6, 9), P1)]
+
+
+def test_rational_witness_past_the_full_rank_exit(monkeypatch):
+    # at n = 10 the 135 x 260 Jacobian is not full rank, so its QQ rank goes
+    # through rref, lifted from the one image of the full-rank exit
+    calls = _rref_mod_calls(monkeypatch)
     with pytest.warns(UserWarning):
-        report = witness_pipeline(10, SeededRng(1), RationalField(sample_window=5))
+        report = witness_certificate(10, SeededRng(1), RationalField(sample_window=5)).witness
     assert report.fiber_dim == 4
     assert report.jacobian_rank == 126
     assert not report.jacobian_full
+    assert calls.count(((135, 260), P1)) == 1
 
 
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])

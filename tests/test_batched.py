@@ -494,7 +494,7 @@ def test_batched_point_ranks_equal_the_loop(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF31, GF61], ids=["QQ", "GF31-int64", "GF61-object"])
-def test_planted_rank_drop_stops_the_points_at_its_direction(field):
+def test_planted_rank_drop_stops_the_points_at_its_direction(field, monkeypatch):
     n, points = 5, 32
     rng = SeededRng(91)
     draw = rng.substream("directions")
@@ -502,6 +502,8 @@ def test_planted_rank_drop_stops_the_points_at_its_direction(field):
     i = next(k for k in range(9, points) if directions[k][3] != field.zero())
     gamma = _planted_gamma(field, n, rng.substream("gamma"), directions[i], 0)
     assert _loop_point_ranks(gamma, rng.substream("directions"), points) == (False, i + 1)
+    if field is not QQ:  # the rank mod p is the exact one: a second rank raises NameError
+        monkeypatch.delattr(census_module, "point_rank_check")
     assert _point_ranks(gamma, rng.substream("directions"), points) == (False, i + 1)
 
 

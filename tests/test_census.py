@@ -13,7 +13,6 @@ from barthslice.census import (
     fiber_census,
     sample_half,
     witness_certificate,
-    witness_pipeline,
 )
 from barthslice.errors import DomainError, SamplingError
 from barthslice.fields import PrimeField, RationalField
@@ -177,7 +176,7 @@ def test_family_certificate_fields():
 
 
 def test_witness_pipeline_n4_rational_window5():
-    rep = witness_pipeline(4, SeededRng(7), RationalField(sample_window=5))
+    rep = witness_certificate(4, SeededRng(7), RationalField(sample_window=5)).witness
     assert rep.fiber_dim == 10
     assert rep.residual_zero
     assert rep.pencil.finite_ok and rep.pencil.infinity_ok
@@ -188,7 +187,7 @@ def test_witness_pipeline_n4_rational_window5():
 
 
 def test_witness_pipeline_n7_modular():
-    rep = witness_pipeline(7, SeededRng(8), GF)
+    rep = witness_certificate(7, SeededRng(8), GF).witness
     assert rep.fiber_dim == 7
     assert rep.jacobian_rank == 63
     assert rep.ok
@@ -211,7 +210,7 @@ def test_witness_draws_again_off_the_canonical_solutions(monkeypatch):
     # the first kernel point at this seed lies in the span of the four
     # canonical solutions: b_i is a multiple of a_i, and the pencil fails
     calls = _counted_kernel_points(monkeypatch)
-    rep = witness_pipeline(7, SeededRng(501), RationalField(sample_window=5))
+    rep = witness_certificate(7, SeededRng(501), RationalField(sample_window=5)).witness
     assert len(calls) == 2
     assert rep.pencil.finite_ok and rep.pencil.infinity_ok and rep.ok
 
@@ -221,19 +220,18 @@ def test_witness_gives_up_on_the_canonical_solutions(monkeypatch):
     on_span = vec_fiber(canonical_fiber_solutions(half)[3])  # (0, 0, a1, a2)
     calls = _counted_kernel_points(monkeypatch, on_span)
     with pytest.raises(SamplingError):
-        witness_pipeline(5, SeededRng(12), GF)
+        witness_certificate(5, SeededRng(12), GF)
     assert len(calls) == 64
 
 
 def test_witness_warns_outside_calibrated_range():
     with pytest.warns(UserWarning):
-        witness_pipeline(2, SeededRng(9), GF)
+        witness_certificate(2, SeededRng(9), GF)
 
 
-@pytest.mark.parametrize("entry", [witness_pipeline, witness_certificate])
-def test_witness_warning_points_at_the_caller(entry):
+def test_witness_warning_points_at_the_caller():
     with pytest.warns(UserWarning) as caught:
-        entry(2, SeededRng(9), GF)
+        witness_certificate(2, SeededRng(9), GF)
     assert [w.filename for w in caught] == [__file__]
 
 
@@ -261,12 +259,12 @@ def test_witness_certificate_schema():
 
 def test_witness_validates_inputs():
     with pytest.raises(DomainError):
-        witness_pipeline(0, SeededRng(1), GF)
+        witness_certificate(0, SeededRng(1), GF)
     with pytest.raises(DomainError):
-        witness_pipeline(4, SeededRng(1), GF, points=0)
+        witness_certificate(4, SeededRng(1), GF, points=0)
     for n, points in ((True, 32), (4, True), (4, 1.5)):
         with pytest.raises(DomainError):
-            witness_pipeline(n, SeededRng(1), GF, points=points)
+            witness_certificate(n, SeededRng(1), GF, points=points)
 
 
 # ---------------------------------------------------------------------------

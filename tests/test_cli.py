@@ -94,6 +94,21 @@ def test_family_small_n_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "census --n 4 --trials 0 --seed 1",
+    "witness --n 4 --points 0 --seed 1",
+    "dims --n 0",
+    "census --n-min 0 --n-max 2 --seed 1",
+    "family --n 5 --seed 1",
+])
+def test_library_argument_checks_are_one_line_usage_errors(capsys, argv):
+    # the library rejects these before anything is written
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_nonprime_modulus_usage_error(capsys):
     code, _, err = run_cli(capsys, "census", "--n", "4", "--seed", "1", "--prime", "91")
     assert code == 2
