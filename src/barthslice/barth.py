@@ -345,12 +345,12 @@ def _fiber_blocks(n: int, h: np.ndarray, zero=0) -> np.ndarray:
     return out
 
 
-def _krylov_kernels(n: int, h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels of the blocks L1 = L(A1, a1) and L2 = L(A2, a2) of each half
-    in a (trials, n(n+3)) stack h of residues mod p, from Krylov vectors:
-    a (trials, 2, n(n+3)/2, 2n) stack of block-local columns (vech Y, y),
-    and a (trials, 2) mask of the blocks for which they are a basis of the
-    kernel, those whose a_i is a cyclic vector of A_i mod p.
+def _krylov_brackets(n: int, h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """M = [L2 K1 | L1 K2] for each half in a (trials, n(n+3)) stack h of
+    residues mod p, where L_i = L(A_i, a_i) are the blocks of its fiber
+    system and K_i holds 2n Krylov vectors of L_i: a (trials, n(n-1)/2, 4n)
+    stack of residues, and a (trials, 2) mask of the blocks for which K_i is
+    a basis of ker L_i, those whose a_i is a cyclic vector of A_i mod p.
 
     Let X be a symmetric matrix over a field, and x a cyclic vector of it:
     the Krylov matrix [x, Xx, ..., X^{n-1} x] has rank n.  Then the minimal
@@ -375,27 +375,42 @@ def _krylov_kernels(n: int, h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     A_i and a_i, and every step here is exact mod p, so one rank of the
     n x n Krylov matrix mod p certifies, block by block, that the columns
     are a basis of ker L_i mod p.
+
+    Column 2k of K_i is (X^k, 0) and column 2k + 1 is (Y_k, X^k x), with
+    (X, x) = (A_i, a_i).  Neither the blocks nor K_i are built: for
+    symmetric A and Y, [A, Y] = A Y - (A Y)^T and a ^ y = a y^T - (a y^T)^T,
+    so
+
+        L(A, a)(Y, y) = Z - Z^T,    Z = A Y + a y^T,
+
+    read at the strict upper triangle.  Step k takes Z for columns 2k and
+    2k + 1 of L_j K_i, j the other block, from one stacked `_matmul_mod` of
+    A_j [X^k | Y_k], and then [X^{k+1} | Y_{k+1} | X^{k+1} x] from another.
     """
     s, t = n * (n + 1) // 2, h.shape[0]
-    vech, (a, b) = _vech_positions(n), np.triu_indices(n)
+    vech, (a, b) = _vech_positions(n), np.triu_indices(n, 1)
     x = np.stack([h[:, vech], h[:, s + vech]], axis=1)
     v0 = h[:, 2 * s:].reshape(t, 2, n)
     # columns X^k, Y_k and X^k x of each block
     state = np.zeros((t, 2, n, 2 * n + 1), dtype=h.dtype)
     state[..., :n] = np.eye(n, dtype=h.dtype)
     state[..., 2 * n] = v0
-    kernels = np.zeros((t, 2, s + n, 2 * n), dtype=h.dtype)
+    # M by (trial, row, block i, k, column (X^k, 0) or (Y_k, X^k x))
+    m = np.empty((t, a.size, 2, n, 2), dtype=h.dtype)
+    krylov = np.empty((t, 2, n, n), dtype=h.dtype)
     for k in range(n):
-        kernels[..., :s, 2 * k] = state[:, :, a, b]
-        kernels[..., :s, 2 * k + 1] = state[:, :, a, n + b]
-        kernels[..., s:, 2 * k + 1] = state[..., 2 * n]
+        v = state[..., 2 * n]
+        krylov[..., k] = v
+        z = _matmul_mod(x[:, ::-1], state[..., :2 * n], p)  # A_j [X^k | Y_k]
+        z[..., n:] += v0[:, ::-1, :, None] * v[..., None, :]  # + a_j (X^k x)^T
+        z = z.reshape(t, 2, n, 2, n)
+        m[:, :, :, k] = np.moveaxis((z[:, :, a, :, b] - z[:, :, b, :, a]) % p, 0, 1)
         if k < n - 1:
-            v = state[..., 2 * n]
             state = _matmul_mod(x, state, p)
             state[..., n:2 * n] += v0[..., :, None] * v[..., None, :]
             state[..., n:2 * n] %= p
-    krylov = kernels[..., s:, 1::2].reshape(2 * t, n, n).copy()
-    return kernels, (np.array(_ranks_mod(krylov, p)) == n).reshape(t, 2)
+    cyclic = np.array(_ranks_mod(krylov.reshape(2 * t, n, n), p)) == n
+    return m.reshape(t, a.size, 4 * n), cyclic.reshape(t, 2)
 
 
 def _fiber_stack(n: int, blocks: np.ndarray, zero=0) -> np.ndarray:

@@ -23,7 +23,8 @@ from .barth import (
     SliceData,
     _canonical_stack,
     _fiber_blocks,
-    _krylov_kernels,
+    _fiber_stack,
+    _krylov_brackets,
     fiber_from_vec,
     fiber_system,
     half_from_vec,
@@ -33,8 +34,8 @@ from .barth import (
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field, PrimeField
-from .linalg import (_STACK_ENTRIES, Matrix, _block_ranks_mod, _cleared_int_rows, _free_kernel, _matmul_mod,
-                     _primes, _ranks_mod, _residues, _rref_mod, kernel_basis, rank)
+from .linalg import (_STACK_ENTRIES, Matrix, _cleared_int_rows, _matmul_mod, _primes, _ranks_mod, _residues,
+                     kernel_basis, rank)
 from .monad import GammaMatrix, PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -209,8 +210,8 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
 
     Each trial draws from its own substream, so certificates do not depend
     on trial scheduling.  A trial's dimension is n(n+3) - rank L, with rank
-    L read off the blocks L1, L2 and their kernels, Krylov vectors where
-    a_i is cyclic (`_census_ranks`); L itself is never built.  With
+    L read off n x n brackets with Krylov vectors where both a_i are cyclic
+    (`_census_ranks`); L is built only for the other trials.  With
     check_family=True (n >= 8 only) every trial additionally verifies that
     the kernel equals the span of the four canonical solutions.  These
     always lie in the kernel (`canonical_fiber_solutions` asserts it), so
@@ -268,22 +269,25 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
     """Exact ranks of L, and with check_family (or over QQ) of the four
     canonical solutions, for each half row of the integer stack `h`.
 
-    Trials are ranked mod p in chunks, and the whole L is never built.  A
-    chunk's blocks L1, L2, each n(n-1)/2 x n(n+3)/2, are built once
-    (`_fiber_blocks`), and with K_i a basis of ker L_i
+    Trials are ranked mod p in chunks, from the blocks L1, L2 of L =
+    [[L1, 0], [0, L2], [L2, L1]], each n(n-1)/2 x n(n+3)/2.  With K_i a
+    basis of ker L_i, (x, y) is in ker L exactly when x = K1 u and y = K2 v
+    with M (u, v) = 0, M = [L2 K1 | L1 K2], for unique u and v.  So (u, v) ->
+    (K1 u, K2 v) maps ker M one to one onto ker L, and counting dimensions
 
-        rank L = rank L1 + rank L2 + rank M,    M = [L2 K1 | L1 K2]
+        rank L = rank L1 + rank L2 + rank M
 
-    (`_block_ranks_mod`).  K_i has two sources.  A block whose a_i is a
-    cyclic vector of A_i mod p has rank n(n-1)/2, and its kernel is spanned
-    by 2n Krylov vectors (`_krylov_kernels`, where the argument is written
-    out); when both blocks are, M is n(n-1)/2 x 4n.  The chunk's Ms are
-    ranked together, and each trial with another block is ranked again,
-    alone: that block takes K_i and rank L_i from its reduced echelon form.
-    The Krylov rank is taken mod the same p, so either way each number is
-    rank_p L exactly, for every trial: nothing is assumed about the draw.
-    A chunk holds as many trials as fit in _STACK_ENTRIES entries of blocks
-    and kernels, 2 w^2 a trial for w = n(n+3)/2 (at least one trial).
+    over any field, so mod every p.  A block whose a_i is a cyclic vector
+    of A_i mod p has rank n(n-1)/2, and 2n Krylov vectors span its kernel
+    (`_krylov_brackets`, where the argument is written out).  A trial whose
+    two blocks are cyclic has rank L = n(n-1) + rank M, with M n(n-1)/2 x 4n
+    from n x n brackets; the chunk's Ms are ranked together.  Any other
+    trial is ranked whole and alone, which happens at small n, where L is
+    small.  Either way each number is rank_p L exactly: nothing is assumed
+    about the draw.  A chunk holds as many trials as fit in _STACK_ENTRIES
+    entries of the stacks it builds, at least one; a trial adds 4n n(n-1)/2
+    to M, 2n(2n+1) to the Krylov state, 4n^2 to the brackets and 4n(n+3) to
+    the canonical solutions.
 
     Over QQ, p is the first prime of the QQ elimination.  The canonical
     solutions lie in ker L over QQ, and a rank mod p is at most the rank
@@ -295,23 +299,19 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
     rank mod p, is settled, and only the others are ranked again, exactly,
     by `rank`.
     """
-    q, w = n * (n - 1) // 2, n * (n + 3) // 2
-    rows, width = 3 * q, 2 * w
+    q = n * (n - 1) // 2
+    rows, width = 3 * q, n * (n + 3)
     prime = isinstance(field, PrimeField)
     p = field.p if prime else next(_primes())
     residues = _residues(h, p)
-    step = max(1, _STACK_ENTRIES // (2 * w * w))
+    step = max(1, _STACK_ENTRIES // (4 * n * q + 2 * n * (2 * n + 1) + 4 * n * n + 4 * n * (n + 3)))
     ranks, independent = [], []
     for lo in range(0, len(h), step):
         chunk = residues[lo:lo + step]
-        blocks = _fiber_blocks(n, chunk)
-        blocks %= p
-        kernels, cyclic = _krylov_kernels(n, chunk, p)
-        chunk_ranks = _block_ranks_mod(blocks, kernels[:, 0], kernels[:, 1], p)
-        for t in np.flatnonzero(~cyclic.all(axis=1)):  # ranked again, alone
-            k1, k2 = (kernels[t, i] if cyclic[t, i] else _free_kernel(*_rref_mod(blocks[t, i], p)) % p
-                      for i in (0, 1))
-            chunk_ranks[t] = _block_ranks_mod(blocks[t:t + 1], k1[None], k2[None], p)[0]
+        m, cyclic = _krylov_brackets(n, chunk, p)
+        chunk_ranks = [n * (n - 1) + r for r in _ranks_mod(m, p)]
+        for t in np.flatnonzero(~cyclic.all(axis=1)):  # ranked whole, alone
+            chunk_ranks[t] = _ranks_mod(_fiber_stack(n, _fiber_blocks(n, chunk[t:t + 1]) % p), p)[0]
         ranks += chunk_ranks
         if check_family or not prime:
             independent += _ranks_mod(_canonical_stack(n, chunk), p)

@@ -28,9 +28,7 @@ canonical form.  Products and eliminations run on numpy integer arrays:
   below);
 * for stacks of small matrices whose ranks alone are needed (the census),
   `_ranks_mod` eliminates the whole stack at once, forward only, on the
-  same dtypes; matrices of block form [[L1, 0], [0, L2], [L2, L1]] are
-  ranked by their blocks and the kernels of L1 and L2
-  (`_block_ranks_mod`).
+  same dtypes.
 
 The pivot rule is fixed: first nonzero entry, top to bottom.  The reduced
 row echelon form is unique whatever the pivot order, blocking or primes, so
@@ -65,9 +63,10 @@ _PANEL = 64
 # Entry budget of one stack of the batched rank elimination (`_ranks_mod`):
 # callers split their trials into stacks of at most this many entries (256 kB
 # of int64), so the few stack-sized temporaries keep peak memory flat in the
-# number of trials.  The census of n = 4..8 with 100 trials ran as fast at 32k
-# entries as at 64k; its peak RSS rose 1.1 MB over per-trial elimination at
-# 32k, 1.6 MB at 64k and 4 MB at 128k.
+# number of trials.  The census counts all the stacks of a chunk against it
+# (`_census_ranks`): its n = 4..8 with 100 trials peaks at 34.6 MB RSS as a CLI
+# process, against 35.4 MB when only a chunk's largest stack counts (2-CPU VM,
+# Python 3.11, numpy 2.4).
 _STACK_ENTRIES = 1 << 15
 
 
@@ -367,27 +366,6 @@ def _free_kernel(a: np.ndarray, pivots: list[int], zero=0, one=1) -> np.ndarray:
     k[free, np.arange(free.size)] = one
     k[pivots] = -a[:len(pivots), free]
     return k
-
-
-def _block_ranks_mod(blocks: np.ndarray, k1: np.ndarray, k2: np.ndarray, p: int) -> list[int]:
-    """Ranks mod p of L = [[L1, 0], [0, L2], [L2, L1]] for a (trials, 2, q,
-    w) stack of blocks L1, L2 with entries in [0, p), given bases K1 and K2
-    of their kernels as (trials, w, c_i) stacks, without forming L.
-
-    ker L = {(x, y) : L1 x = 0, L2 y = 0, L2 x + L1 y = 0}.  The first two
-    equations say x = K1 u and y = K2 v for unique u and v, and the third
-    then says M (u, v) = 0 for M = [L2 K1 | L1 K2].  So (u, v) -> (K1 u,
-    K2 v) maps ker M one to one onto ker L, and counting dimensions
-    (rank L_i = w - c_i) gives
-
-        rank L = rank L1 + rank L2 + rank M.
-
-    Nothing here but linear algebra over a field, so the identity holds mod
-    every p, and with it every rank the census reads off L.  The stack's Ms
-    are ranked together (`_ranks_mod`).
-    """
-    m = np.concatenate([_matmul_mod(blocks[:, 1], k1, p), _matmul_mod(blocks[:, 0], k2, p)], axis=2)
-    return [2 * blocks.shape[3] - k1.shape[2] - k2.shape[2] + r for r in _ranks_mod(m, p)]
 
 
 def _inverses_mod(x: np.ndarray, p: int) -> np.ndarray:

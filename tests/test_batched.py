@@ -10,18 +10,23 @@
   trial over GF(2^31 - 1) (int64 stacks), GF(2^61 - 1) (Python-int stacks)
   and QQ, on stacks that mix generic halves with planted deficient ones in
   one chunk, and across chunk boundaries;
-* block ranks: `_census_ranks` ranks L by its blocks L1, L2 and their
-  kernels, and equals `rank(fiber_system(half))` on halves planted so that
-  either block, both or neither vanish;
-* Krylov kernels: the 2n Krylov vectors of a block lie in its kernel mod p
-  and, over QQ, in integers; they are independent when a_i is cyclic; and
-  ranks equal `rank(fiber_system(half))` on planted derogatory and
-  non-cyclic halves and over small primes, where both kernel sources run;
+* block ranks: `_census_ranks` ranks L by M = [L2 K1 | L1 K2] where both
+  blocks are cyclic and whole otherwise, and equals
+  `rank(fiber_system(half))` on halves planted so that either block, both
+  or neither vanish;
+* Krylov brackets: the 2n Krylov vectors of a block, built here from the
+  recursion, lie in its kernel in integers; `_krylov_brackets`' M equals
+  the dense blocks times them mod p and, over QQ, in integers; they are
+  independent when the mask says a_i is cyclic; and ranks equal
+  `rank(fiber_system(half))` on planted derogatory and non-cyclic halves
+  and over small primes, where both kinds of trial run;
 * over QQ, a trial whose rank mod p and canonical solutions add up to the
   width is settled without an exact `rank`;
 * the family verdict (dim 4 and the four canonical solutions independent)
   equals the kernel-span comparison it replaced, kept here as the oracle;
-* no stack the census eliminates holds more than `_STACK_ENTRIES` entries;
+* no stack the census builds or eliminates holds more than
+  `_STACK_ENTRIES` entries, and a family trial at n = 64 traces under
+  32 MiB;
 * witness point ranks: the batched mod-p ranks of every alpha(v) give the
   same `point_ranks_ok` and `points_checked` as the exact per-direction
   loop they replaced, kept here as the oracle, over QQ windows 1, 2 and 5,
@@ -29,6 +34,7 @@
   direction, and a drop mod p only runs the exact check and passes.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +43,7 @@ import pytest
 from barthslice import barth as barth_module
 from barthslice import census as census_module
 from barthslice import linalg
-from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_stack, _krylov_kernels,
+from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_stack, _krylov_brackets,
                               canonical_fiber_solutions, fiber_from_vec, fiber_system, half_from_vec,
                               jacobian, residual, sym_index, vec_fiber, vec_half, vec_skew)
 from barthslice.census import _census_ranks, _point_ranks, _sample_direction, fiber_census, sample_half
@@ -167,9 +173,10 @@ def test_batched_ranks_equal_rank_trial_by_trial(field, n):
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_batched_ranks_across_chunk_boundaries(field, monkeypatch):
     n = 5
-    rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
     halves = _planted(field, n, SeededRng(82)) * 2  # 14 trials
-    monkeypatch.setattr(census_module, "_STACK_ENTRIES", 3 * rows * width)  # chunks 3, 3, ..., 2
+    # a trial takes 200 + 110 + 100 + 160 entries of M, the Krylov state, the
+    # brackets and the canonical solutions: chunks 3, 3, ..., 2
+    monkeypatch.setattr(census_module, "_STACK_ENTRIES", 3 * 570)
     ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
     assert ranks == _expected_ranks(field, n, halves)
 
@@ -187,8 +194,9 @@ def test_rational_ranks_look_past_an_unlucky_image():
 
 
 def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
-    # a block whose a_i is not cyclic (L2 = 0 in no-eq2, both blocks of the
-    # zero half and of the lone a1) goes to `_rref_mod` alone; L never does
+    # a cyclic trial never reaches `_rref_mod`: its M is ranked in a stack up
+    # to n = 32, and alone past it; a trial with a non-cyclic block (L2 = 0
+    # in no-eq2, the zero half and the lone a1) is ranked whole, alone
     calls = []
     rref_mod = linalg._rref_mod
 
@@ -197,14 +205,14 @@ def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
         return rref_mod(a, p)
 
     monkeypatch.setattr(linalg, "_rref_mod", counted)
-    monkeypatch.setattr(census_module, "_rref_mod", counted)
-    for n, count, halves in [(10, 1, _planted(GF31, 10, SeededRng(83))[:3]),
-                             (9, 5, _planted(GF31, 9, SeededRng(83)))]:
-        expected = _expected_ranks(GF31, n, halves)
-        calls.clear()
-        ranks, _ = _census_ranks(GF31, n, _integer_stack(GF31, halves), False)
-        assert ranks == expected
-        assert calls == [(n * (n - 1) // 2, n * (n + 3) // 2)] * count  # blocks, never 3n(n-1)/2 rows
+    halves = _planted(GF31, 10, SeededRng(83))
+    ranks, _ = _census_ranks(GF31, 10, _integer_stack(GF31, halves), False)
+    assert calls == [(135, 130)] * 3
+    assert ranks == _expected_ranks(GF31, 10, halves)
+    n, generic = 33, vec_half(sample_half(SeededRng(83), GF31, 33))
+    calls.clear()
+    assert _census_ranks(GF31, n, _integer_stack(GF31, [generic]), False)[0] == [n * (n + 3) - 4]
+    assert calls == [(n * (n - 1) // 2, 4 * n)]  # M, never 3n(n-1)/2 rows
 
 
 def _planted_blocks(field, n: int, rng: SeededRng) -> list[list]:
@@ -282,32 +290,56 @@ def _krylov_halves(field, n: int, rng: SeededRng) -> list[list]:
             + [[field.coerce(x) for x in scalar]])
 
 
-def _products(n: int, h: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """L_i K_i for each block, in Python ints."""
-    return _fiber_blocks(n, h.astype(object)) @ kernels.astype(object)
+def _naive_krylov(n: int, row: np.ndarray) -> np.ndarray:
+    """The 2n Krylov columns of each block of one half row, from the
+    recursion in Python ints: a (2, n(n+3)/2, 2n) array whose column 2k is
+    (X^k, 0) and column 2k + 1 is (Y_k, X^k x), over block-local (vech Y,
+    y), with Y_0 = 0 and Y_{k+1} = X Y_k + x (X^k x)^T."""
+    s = n * (n + 1) // 2
+    a, b = np.triu_indices(n)
+    out = np.zeros((2, s + n, 2 * n), dtype=object)
+    for i in (0, 1):
+        x = np.zeros((n, n), dtype=object)
+        x[a, b] = x[b, a] = row[i * s:(i + 1) * s]
+        v = vec = row[2 * s + i * n:2 * s + (i + 1) * n]
+        power, y = np.eye(n, dtype=object), np.zeros((n, n), dtype=object)
+        for k in range(n):
+            out[i, :s, 2 * k], out[i, :s, 2 * k + 1], out[i, s:, 2 * k + 1] = power[a, b], y[a, b], v
+            power, y, v = x @ power, x @ y + np.outer(vec, v), x @ v
+    return out
+
+
+def _naive_brackets(n: int, h: np.ndarray) -> np.ndarray:
+    """[L2 K1 | L1 K2] in Python ints, from the dense blocks and
+    `_naive_krylov`; asserts that L_i K_i = 0, cyclic or not."""
+    blocks = _fiber_blocks(n, h.astype(object))
+    kernels = np.array([_naive_krylov(n, row) for row in h.astype(object)])
+    assert not (blocks @ kernels != 0).any()
+    return np.concatenate([blocks[:, 1] @ kernels[:, 0], blocks[:, 0] @ kernels[:, 1]], axis=2)
 
 
 @pytest.mark.parametrize("field", [GF31, GF61], ids=["GF31-int64", "GF61-object"])
 def test_krylov_kernels_lie_in_the_kernel_mod_p(field):
     for n in range(1, 13):
         h = _integer_stack(field, _krylov_halves(field, n, SeededRng(91).substream(f"n={n}")))
-        kernels, cyclic = _krylov_kernels(n, h, field.p)
-        assert kernels.dtype == h.dtype and kernels.shape == (len(h), 2, n * (n + 3) // 2, 2 * n)
-        assert (_products(n, h, kernels) % field.p == 0).all()
+        m, cyclic = _krylov_brackets(n, h, field.p)
+        assert m.dtype == h.dtype and m.shape == (len(h), n * (n - 1) // 2, 4 * n)
+        assert (m == _naive_brackets(n, h) % field.p).all()
         assert cyclic[0].all() and not cyclic[3].any()  # a generic half; the zero half
 
 
 @pytest.mark.parametrize("window", [1, 5])
 def test_krylov_kernels_lie_in_the_kernel_in_integers(window):
-    # the kernels mod a prime past every entry, lifted to (-P/2, P/2), are
-    # the integer Krylov vectors of the cleared half; they lie in the kernel
-    # whether or not a_i is cyclic
+    # M mod a prime past every entry, lifted to (-P/2, P/2), is M of the
+    # cleared half in integers, whether or not a_i is cyclic
     field = RationalField(sample_window=window)
     for n in range(1, 13):
         h = census_module._census_halves(SeededRng(92), field, n, 3)
-        kernels, _ = _krylov_kernels(n, h % P521, P521)
-        kernels = np.where(kernels > P521 // 2, kernels - P521, kernels)
-        assert kernels.any() and not (_products(n, h, kernels) != 0).any()
+        expected = _naive_brackets(n, h)
+        assert not (abs(expected) > P521 // 2).any()
+        m, _ = _krylov_brackets(n, h % P521, P521)
+        assert (np.where(m > P521 // 2, m - P521, m) == expected).all()
+        assert expected.any() or n == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, P31])
@@ -318,10 +350,11 @@ def test_krylov_columns_are_independent_when_the_check_passes(p):
         halves = [vec_half(sample_half(SeededRng(93).substream(f"n={n}/t={t}"), field, n))
                   for t in range(6)]
         h = _integer_stack(field, halves)
-        kernels, cyclic = _krylov_kernels(n, h, p)
+        _, cyclic = _krylov_brackets(n, h, p)
         blocks = _fiber_blocks(n, h) % p
         for t, i in zip(*np.nonzero(cyclic)):
-            assert rank(Matrix(field, kernels[t, i].T.tolist())) == 2 * n
+            kernel = _naive_krylov(n, h[t].astype(object))[i] % p
+            assert rank(Matrix(field, kernel.T.tolist())) == 2 * n
             assert rank(Matrix(field, blocks[t, i].tolist(), n * (n + 3) // 2)) == n * (n - 1) // 2
             passed += 1
     assert passed
@@ -338,28 +371,30 @@ def test_krylov_and_fallback_ranks_equal_rank_trial_by_trial(field, sizes):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_small_primes_take_both_kernel_sources(p, monkeypatch):
+    # every trial is settled by its Krylov brackets or, with a non-cyclic
+    # block, ranked whole: never both, and at small primes both kinds occur
     field = PrimeField(p, allow_small=True)
-    krylov = census_module._krylov_kernels
-    free_kernel = census_module._free_kernel
-    taken = {"krylov": 0, "fallback": 0}
+    krylov, blocks = census_module._krylov_brackets, census_module._fiber_blocks
+    taken = {"krylov": 0, "whole": 0}
 
     def counted_krylov(n, h, q):
-        kernels, cyclic = krylov(n, h, q)
-        taken["krylov"] += int(cyclic.sum())
-        return kernels, cyclic
+        m, cyclic = krylov(n, h, q)
+        taken["krylov"] += int(cyclic.all(axis=1).sum())
+        return m, cyclic
 
-    def counted_fallback(*args):
-        taken["fallback"] += 1
-        return free_kernel(*args)
+    def counted_whole(n, h):
+        taken["whole"] += len(h)
+        return blocks(n, h)
 
-    monkeypatch.setattr(census_module, "_krylov_kernels", counted_krylov)
-    monkeypatch.setattr(census_module, "_free_kernel", counted_fallback)
+    monkeypatch.setattr(census_module, "_krylov_brackets", counted_krylov)
+    monkeypatch.setattr(census_module, "_fiber_blocks", counted_whole)
     for n in range(2, 11):
         rng = SeededRng(95).substream(f"n={n}")
         halves = [vec_half(sample_half(rng.substream(f"t={t}"), field, n)) for t in range(8)]
         ranks, _ = _census_ranks(field, n, _integer_stack(field, halves), False)
         assert ranks == _expected_ranks(field, n, halves)
-    assert taken["krylov"] and taken["fallback"]
+    assert taken["krylov"] and taken["whole"]
+    assert taken["krylov"] + taken["whole"] == 9 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -412,35 +447,49 @@ def test_family_verdict_matches_kernel_span_on_generic_halves(n):
 
 
 def test_census_stacks_stay_within_the_entry_budget(monkeypatch):
-    # the blocks, and the stacks of M (`_block_ranks_mod`), of the Krylov
-    # matrices (`_krylov_kernels`) and of the canonical solutions (the census)
-    shapes = {"blocks": [], "M": [], "krylov": [], "canonical": []}
+    # the Krylov products (`_matmul_mod` in `_krylov_brackets`), the stacks
+    # of Krylov matrices, and those the census ranks: M and the canonical
+    # solutions; no trial is ranked whole, so the blocks are never built
+    shapes = {"products": [], "krylov": [], "census": [], "blocks": []}
 
     def recorder(kind, f):
         def recorded(*args):
             out = f(*args)
-            a = out if kind == "blocks" else args[0]
+            a = out if kind in ("products", "blocks") else args[0]
             shapes[kind].append((a.shape, a.dtype))
             return out
         return recorded
 
-    monkeypatch.setattr(census_module, "_fiber_blocks", recorder("blocks", census_module._fiber_blocks))
-    monkeypatch.setattr(linalg, "_ranks_mod", recorder("M", _ranks_mod))
+    monkeypatch.setattr(barth_module, "_matmul_mod", recorder("products", barth_module._matmul_mod))
     monkeypatch.setattr(barth_module, "_ranks_mod", recorder("krylov", _ranks_mod))
-    monkeypatch.setattr(census_module, "_ranks_mod", recorder("canonical", _ranks_mod))
+    monkeypatch.setattr(census_module, "_ranks_mod", recorder("census", _ranks_mod))
+    monkeypatch.setattr(census_module, "_fiber_blocks", recorder("blocks", _fiber_blocks))
     for n in range(4, 9):
         fiber_census(n, 100, SeededRng(87), GF31)
     stacks = [s for kind in shapes.values() for s in kind]
     assert all(np.prod(shape) <= _STACK_ENTRIES for shape, _ in stacks)
     assert all(dtype == np.int64 for _, dtype in stacks)
-    assert sum(shape[1:] == (28, 32) for shape, _ in shapes["M"]) > 1  # n = 8 runs in chunks
-    assert sum(shape[0] for shape, _ in shapes["M"]) == 500
+    assert shapes["blocks"] == []
+    assert sum(shape[1:] == (28, 32) for shape, _ in shapes["census"]) > 1  # n = 8 runs in chunks
+    assert sum(shape[0] for shape, _ in shapes["census"]) == 500  # M alone: no family check
     assert sum(shape[0] for shape, _ in shapes["krylov"]) == 1000  # two blocks a trial
-    assert shapes["canonical"] == []
     for kind in shapes.values():
         kind.clear()
     fiber_census(8, 3, SeededRng(87), GF61, check_family=True)
-    assert [[dtype for _, dtype in shapes[kind]] for kind in shapes] == [[object]] * 4
+    products = [object] * (2 * 8 - 1)  # A_j [X^k | Y_k] at each step, the next state at all but the last
+    assert [[dtype for _, dtype in shapes[kind]] for kind in shapes] == [products, [object], [object] * 2, []]
+
+
+def test_family_trial_at_n_64_stays_small():
+    # M is 2016 x 256 there; the dense blocks alone would be 2 x 2016 x 2144
+    tracemalloc.start()
+    try:
+        cert = fiber_census(64, 1, SeededRng(1), PrimeField(), check_family=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.family_check is True
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
