@@ -34,8 +34,8 @@ from .barth import (
 )
 from .errors import DomainError, SamplingError, WitnessUnavailable
 from .fields import Field, PrimeField
-from .linalg import (_STACK_ENTRIES, Matrix, _cleared_int_rows, _matmul_mod, _primes, _ranks_mod, _residues,
-                     kernel_basis, rank)
+from .linalg import (_STACK_ENTRIES, Matrix, _exact_rank, _integers, _matmul_mod, _primes, _ranks_mod,
+                     _residues, kernel_basis, rank)
 from .monad import GammaMatrix, PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
 from .rng import ALGORITHM_ID, SeededRng
 
@@ -250,18 +250,15 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
 
 def _census_halves(rng: SeededRng, field: Field, n: int, trials: int) -> np.ndarray:
     """Row t holds trial t's half coordinates, drawn by `_half_draws` from
-    substream census/n=../trial=t, as integers: residues over GF(p)
-    (`_residues`), and over QQ each row cleared of denominators (Python
-    ints), which scales L and the canonical solutions without changing a
-    rank."""
+    substream census/n=../trial=t, as `_integers`: residues over GF(p), and
+    over QQ the row cleared of denominators (Python ints), which scales L
+    and the canonical solutions without changing a rank.  Each trial is
+    cleared alone, so no temporary spans all the draws."""
     width = n * (n + 3)
     rows = []
     for trial in range(trials):
         draws = _half_draws(rng.substream(f"census/n={n}/trial={trial}"), field, n)
-        if isinstance(field, PrimeField):
-            rows.append(_residues(np.array(draws, dtype=object), field.p))
-        else:
-            rows.append(_cleared_int_rows(Matrix._raw(field, [draws], width))[0])
+        rows.append(_integers(Matrix._raw(field, [draws], width))[0])
     return np.array(rows)
 
 
@@ -297,7 +294,7 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
 
     for their matrix C: a trial with rank_p L + rank_p C == width, or of full
     rank mod p, is settled, and only the others are ranked again, exactly,
-    by `rank`.
+    by `_exact_rank` on the integer L or C of the trial's row of `h`.
     """
     q = n * (n - 1) // 2
     rows, width = 3 * q, n * (n + 3)
@@ -316,14 +313,13 @@ def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tu
         if check_family or not prime:
             independent += _ranks_mod(_canonical_stack(n, chunk), p)
     if not prime:
-        for t, row in enumerate(h.tolist()):
+        for t in range(len(h)):
             if ranks[t] + independent[t] == width:
                 continue
             if ranks[t] < min(rows, width):
-                ranks[t] = rank(fiber_system(half_from_vec(field, n, row)))
+                ranks[t] = _exact_rank(field, _fiber_stack(n, _fiber_blocks(n, h[t:t + 1]))[0])
             if check_family and independent[t] < 4:
-                canonical = _canonical_stack(n, h[t:t + 1])[0].tolist()
-                independent[t] = rank(Matrix(field, canonical, width))
+                independent[t] = _exact_rank(field, _canonical_stack(n, h[t:t + 1])[0])
     return ranks, independent
 
 
@@ -387,12 +383,12 @@ def _point_ranks(gamma: GammaMatrix, rng: SeededRng, points: int) -> tuple[bool,
     prime = isinstance(field, PrimeField)
     p = field.p if prime else next(_primes())
     # (4, (2n+2) n): row j is the column block C_{j+1} of gamma, flattened
-    blocks = _residues(_cleared_int_rows(gamma.body), p).reshape(2 * n + 2, 4, n).transpose(1, 0, 2)
+    blocks = _residues(_integers(gamma.body), p).reshape(2 * n + 2, 4, n).transpose(1, 0, 2)
     blocks = blocks.reshape(4, -1)
     step = max(1, _STACK_ENTRIES // blocks.shape[1])
     for lo in range(0, points, step):
         directions = [_sample_direction(rng, field) for _ in range(min(step, points - lo))]
-        v = _residues(_cleared_int_rows(Matrix._raw(field, directions, 4)), p)
+        v = _residues(_integers(Matrix._raw(field, directions, 4)), p)
         ranks = _ranks_mod(_matmul_mod(v, blocks, p).reshape(len(directions), 2 * n + 2, n), p)
         for i, (r, direction) in enumerate(zip(ranks, directions)):
             if r < n and (prime or not point_rank_check(gamma, direction)):

@@ -180,7 +180,7 @@ class Matrix:
             )
         field = self.field
         if isinstance(field, PrimeField):
-            return _from_np(field, _matmul_mod(_to_np(self), _to_np(other), field.p))
+            return _from_np(field, _matmul_mod(_integers(self), _integers(other), field.p))
         a, lcms = _cleared(self.data)
         (b,), (d,) = _cleared([[x for row in other.data for x in row]])
         a = np.array(a, dtype=object).reshape(self.rows, self.cols)
@@ -250,11 +250,6 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """The integers `a` mod p, as int64 below 2**31 (the bounds above) and
     as Python ints past it."""
     return (a % p).astype(np.int64 if p < _FAST_PRIME_LIMIT else object)
-
-
-def _to_np(m: Matrix) -> np.ndarray:
-    """A GF(p) matrix as an array of `_residues`."""
-    return _residues(np.array(m.data, dtype=object).reshape(m.rows, m.cols), m.field.p)
 
 
 def _from_np(field: Field, arr: np.ndarray) -> Matrix:
@@ -405,11 +400,12 @@ def _ranks_mod(a: np.ndarray, p: int) -> list[int]:
     The update is exact on int64: factor and pivot-row entries are residues
     below p < 2**31, so each product is below 2**62, block - f * prow stays
     above -2**62, and one % per update is enough.  Stacks of matrices with
-    more than 2 * _PANEL rows and columns go to `_rref_mod` one at a time.
+    more than 2 * _PANEL rows and columns go to `_rref_mod` one at a time,
+    short side as rows, so no panel updates more rows than the rank reaches.
     """
     trials, m, w = a.shape
     if min(m, w) > 2 * _PANEL:
-        return [len(_rref_mod(x, p)[1]) for x in a]
+        return [len(_rref_mod(x.T if m > w else x, p)[1]) for x in a]
     if m < w:
         a, m, w = a.transpose(0, 2, 1), w, m
     ranks = np.zeros(trials, dtype=np.intp)
@@ -484,9 +480,11 @@ def _cleared(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
             for row, k in zip(rows, lcms)], lcms
 
 
-def _cleared_int_rows(m: Matrix) -> np.ndarray:
-    """Integer rows (Python ints) with the same row space: each row times
-    the lcm of its denominators."""
+def _integers(m: Matrix) -> np.ndarray:
+    """`m` as integers: over GF(p) its `_residues`, over QQ each row times the
+    lcm of its denominators (Python ints), which keeps the row space."""
+    if isinstance(m.field, PrimeField):
+        return _residues(np.array(m.data, dtype=object).reshape(m.rows, m.cols), m.field.p)
     return np.array(_cleared(m.data)[0], dtype=object).reshape(m.rows, m.cols)
 
 
@@ -586,8 +584,8 @@ def _rref_array(m: Matrix) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form as an array of canonical entries (residues,
     or Fractions), and its pivot columns."""
     if isinstance(m.field, PrimeField):
-        return _rref_mod(_to_np(m), m.field.p)
-    d, num, pivots = _rref_qq(_cleared_int_rows(m))
+        return _rref_mod(_integers(m), m.field.p)
+    d, num, pivots = _rref_qq(_integers(m))
     out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
     out[:len(pivots), sorted(set(range(m.cols)) - set(pivots))] = np.frompyfunc(Fraction, 2, 1)(num, d)
     out[range(len(pivots)), pivots] = Fraction(1)
@@ -600,17 +598,21 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return _from_np(m.field, arr), pivots
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over the matrix's field."""
-    if isinstance(m.field, PrimeField):
-        return len(_rref_mod(_to_np(m), m.field.p)[1])
-    # full rank mod p is full rank over QQ, whose rank is no smaller;
-    # otherwise the image is the first of the QQ elimination
-    ints = _cleared_int_rows(m)
+def _exact_rank(field: Field, ints: np.ndarray) -> int:
+    """Exact rank over `field` of the matrix with `_integers` image `ints`:
+    the rank mod p over GF(p); over QQ the rank mod the first prime where it
+    is full, as it is at most the rank, and else the lift of that image."""
+    if isinstance(field, PrimeField):
+        return len(_rref_mod(ints, field.p)[1])
     image = _image(ints, next(_primes()))
-    if len(image[2]) == min(m.rows, m.cols):
+    if len(image[2]) == min(ints.shape):
         return len(image[2])
     return len(_rref_qq(ints, image)[2])
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over the matrix's field."""
+    return _exact_rank(m.field, _integers(m))
 
 
 def kernel_basis(m: Matrix) -> list[list]:
@@ -642,14 +644,8 @@ def inverse(m: Matrix) -> Matrix:
     return red.submatrix(0, n, n, 2 * n)
 
 
-def row_space_canonical(m: Matrix) -> Matrix:
-    """RREF with zero rows dropped: the canonical form of the row space."""
-    red, pivots = rref(m)
-    return Matrix._raw(m.field, [red.data[i][:] for i in range(len(pivots))], m.cols)
-
-
 def spans_match(field: Field, vectors_a: Iterable[Sequence], vectors_b: Iterable[Sequence], length: int) -> bool:
-    """Subspace equality of two spans, decided by canonical row spaces."""
-    a = Matrix(field, [list(v) for v in vectors_a], length)
-    b = Matrix(field, [list(v) for v in vectors_b], length)
-    return row_space_canonical(a) == row_space_canonical(b)
+    """Subspace equality of two spans, decided by their RREFs without zero rows."""
+    red_a, pivots_a = rref(Matrix(field, [list(v) for v in vectors_a], length))
+    red_b, pivots_b = rref(Matrix(field, [list(v) for v in vectors_b], length))
+    return red_a.data[:len(pivots_a)] == red_b.data[:len(pivots_b)]

@@ -152,7 +152,8 @@ def pencil_check(field: Field, a1, a2, b1, b2) -> PencilReport:
     c0, c1, c2 the (i, j) entries of a1^b1, a1^b2 + a2^b1 and a2^b2, the
     wedges of the slice equations.  Stack them as the rows of the
     n(n-1)/2 x 3 matrix C.  The minors share a root r over the algebraic
-    closure iff (1, r, r^2) lies in ker C, which is defined over the field:
+    closure iff (1, r, r^2) lies in ker C, whose basis, read off one
+    elimination, has 3 - rank C vectors:
 
     * rank C = 3: the kernel is zero, so finite_ok holds;
     * rank C = 2: the kernel is spanned by one vector w, and it contains
@@ -174,13 +175,13 @@ def pencil_check(field: Field, a1, a2, b1, b2) -> PencilReport:
     w22 = wedge(field, a2, b2).data
     c = Matrix._raw(field, [[w11[i][j], w12[i][j], w22[i][j]] for i, j in skew_index(n)], 3)
     z = field.zero()
-    r = rank(c)
-    if r == 3:
+    kernel = kernel_basis(c)
+    if not kernel:
         finite_ok = True
-    elif r == 2:
-        (w,) = kernel_basis(c)
+    elif len(kernel) == 1:
+        (w,) = kernel
         finite_ok = w[0] == z or field.mul(w[1], w[1]) != field.mul(w[0], w[2])
-    elif r == 1:
+    elif len(kernel) == 2:
         finite_ok = all(row[1] == z and row[2] == z for row in c.data)
     else:
         finite_ok = False

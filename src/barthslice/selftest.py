@@ -154,7 +154,8 @@ def _check_bilinearity(field: Field, rng: SeededRng, n: int, count: int) -> bool
 
 
 def _kernel_point(rng: SeededRng, field: Field, half: HalfData) -> FiberData:
-    """Random point of the fiber over `half`, drawn as in the witness pipeline."""
+    """Random point of the fiber over `half`: a nonzero random combination of
+    its kernel basis, possibly in the span of the canonical solutions."""
     n = half.n
     basis = kernel_basis(fiber_system(half))
     return fiber_from_vec(field, n, _nonzero_kernel_point(rng, field, basis, n * (n + 3)))

@@ -14,7 +14,10 @@ reconstruction must agree with independent code paths.
   entries past 2^31 (the Python-int residual), a zero image of a nonzero
   matrix, the zero matrix and an RREF of over 400 bits, and a
   reconstruction that never certifies ends in InvariantError;
-* ranks agree between GF(2^31 - 1), GF(2^61 - 1) and QQ;
+* ranks agree between GF(2^31 - 1), GF(2^61 - 1) and QQ, and
+  ``_exact_rank`` of each field's ``_integers`` image equals the oracles'
+  ranks, the unlucky cases mod p included; ``_integers`` is int64 below
+  2^31 and Python ints past it and over QQ;
 * the QQ reduced echelon form and kernel basis, reduced mod p, equal the
   GF(p) ones for p = 2^31 - 1 (int64) and p = 2^61 - 1 (object), which
   needs the ranks to agree, as asserted above;
@@ -40,8 +43,8 @@ from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
 from barthslice.census import sample_half, witness_certificate
 from barthslice.errors import InvariantError
 from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
-from barthslice.linalg import (Matrix, _PANEL, _cleared_int_rows, _free_kernel, _from_np, _matmul_mod,
-                               _residues, _rref_array, _rref_mod, _to_np, kernel_basis, rank, rref)
+from barthslice.linalg import (Matrix, _PANEL, _exact_rank, _free_kernel, _from_np, _integers, _matmul_mod,
+                               _residues, _rref_array, _rref_mod, kernel_basis, rank, rref)
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -236,7 +239,7 @@ def _count_moduli(monkeypatch) -> list:
 @pytest.mark.parametrize("label, m", CASES, ids=[label for label, _ in CASES])
 def test_int64_and_generic_rref_agree(label, m):
     gf = _over(GF31, m)
-    fast = _to_np(gf)
+    fast = _integers(gf)
     assert fast.dtype == np.int64
     arr, pivots_fast = _rref_mod(fast, P31)
     exact, pivots_exact = _rref_mod(np.array(gf.data, dtype=object).reshape(gf.shape), P31)
@@ -263,6 +266,35 @@ def test_rational_rref_matches_fraction_free_oracle(label, m):
     assert red.data == data
 
 
+@pytest.mark.parametrize("field", [GF31, GF61, QQ], ids=["GF31", "GF61", "QQ"])
+@pytest.mark.parametrize("label, m", ORACLE_CASES, ids=[label for label, _ in ORACLE_CASES])
+def test_exact_rank_matches_the_oracles(label, m, field):
+    # full rank and rank-deficient: the rank of the integer image over each
+    # field; mod p the unlucky and edge cases drop rank, and the unblocked
+    # oracle sees it, while every other case has its QQ rank mod p
+    expected = len(_oracle_rref_qq(m)[1])
+    if field is not QQ:
+        m = _over(field, m)
+        oracle = len(_oracle_rref(np.array(m.data, dtype=object).reshape(m.shape), field.p)[1])
+        assert oracle == expected or label not in dict(CASES)
+        expected = oracle
+    assert _exact_rank(field, _integers(m)) == expected
+
+
+def test_integers_are_int64_below_2_31_and_python_ints_past_it_and_over_qq():
+    m = Matrix(QQ, [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(2), Fraction(-3, 4)], [0, 0]])
+    assert _integers(m).dtype == object
+    assert _integers(m).tolist() == [[3, -2], [8, -3], [0, 0]]
+    data = [[int(x) for x in row] for row in RANDOM["random-3x7"].data]
+    for field, dtype in ((GF31, np.int64), (PrimeField(2**31 + 11), object), (GF61, object)):
+        image = _integers(Matrix(field, data, 7))
+        assert image.dtype == dtype and image.shape == (3, 7)
+        assert image.tolist() == [[x % field.p for x in row] for row in data]
+        if dtype is object:
+            assert all(type(x) is int for row in image.tolist() for x in row)
+    assert _integers(Matrix(GF31, [], 4)).shape == (0, 4)
+
+
 @pytest.mark.parametrize("label", UNLUCKY)
 def test_unlucky_primes_are_dropped(label, monkeypatch):
     m, unlucky = UNLUCKY[label]
@@ -270,7 +302,7 @@ def test_unlucky_primes_are_dropped(label, monkeypatch):
     red, pivots = rref(m)
     # the first `unlucky` primes have other pivots, and the lifting moved on
     assert drawn == PRIMES[:unlucky + 1]
-    ints = _cleared_int_rows(m)
+    ints = _integers(m)
     assert [_rref_mod(_residues(ints, p), p)[1] != pivots for p in drawn] == [True] * unlucky + [False]
     assert (red.data, pivots) == _oracle_rref_qq(m)
     assert rank(m) == len(pivots)
@@ -309,7 +341,7 @@ def test_lifting_runs_past_the_first_digit_or_prime(label, monkeypatch):
     else:  # the first prime's image has other pivots; the second certifies
         assert drawn == [P1, P2]
     if label == "random-6x8-past-2^31":
-        big = max(math.isqrt(sum(v * v for v in row)) + 1 for row in _cleared_int_rows(m).tolist())
+        big = max(math.isqrt(sum(v * v for v in row)) + 1 for row in _integers(m).tolist())
         assert len(pivots) * big * P1 >= 2**63
 
 
@@ -371,7 +403,7 @@ def test_wide_cases_are_blocked_and_exercise_the_panel_edges():
     # past two panels both ways, rank falling inside a panel, an empty panel
     wide = [*WIDE.values(), LOW_RANK["rank20-140x136"][0]]
     assert all(min(m.shape) > 2 * _PANEL for m in wide)
-    pivots = _rref_mod(_to_np(_over(GF31, WIDE["zero-panel-130x200"])), P31)[1]
+    pivots = _rref_mod(_integers(_over(GF31, WIDE["zero-panel-130x200"])), P31)[1]
     assert pivots == list(range(_PANEL, _PANEL + 20))
 
 

@@ -21,7 +21,7 @@
   `rank(fiber_system(half))` on planted derogatory and non-cyclic halves
   and over small primes, where both kinds of trial run;
 * over QQ, a trial whose rank mod p and canonical solutions add up to the
-  width is settled without an exact `rank`;
+  width is settled without an `_exact_rank` call;
 * the family verdict (dim 4 and the four canonical solutions independent)
   equals the kernel-span comparison it replaced, kept here as the oracle;
 * no stack the census builds or eliminates holds more than
@@ -48,7 +48,7 @@ from barthslice.barth import (SliceData, _block_index, _fiber_blocks, _fiber_sta
                               jacobian, residual, sym_index, vec_fiber, vec_half, vec_skew)
 from barthslice.census import _census_ranks, _point_ranks, _sample_direction, fiber_census, sample_half
 from barthslice.fields import PrimeField, RationalField
-from barthslice.linalg import (_STACK_ENTRIES, Matrix, _ranks_mod, kernel_basis, rank,
+from barthslice.linalg import (_STACK_ENTRIES, Matrix, _exact_rank, _ranks_mod, kernel_basis, rank,
                                spans_match)
 from barthslice.monad import GammaMatrix, build_gamma, evaluate_alpha, point_rank_check
 from barthslice.rng import SeededRng
@@ -196,7 +196,8 @@ def test_rational_ranks_look_past_an_unlucky_image():
 def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
     # a cyclic trial never reaches `_rref_mod`: its M is ranked in a stack up
     # to n = 32, and alone past it; a trial with a non-cyclic block (L2 = 0
-    # in no-eq2, the zero half and the lone a1) is ranked whole, alone
+    # in no-eq2, the zero half and the lone a1) is ranked whole, alone; both
+    # reach `_rref_mod` transposed, with their short side as rows
     calls = []
     rref_mod = linalg._rref_mod
 
@@ -207,12 +208,12 @@ def test_wide_stacks_go_to_rref_one_matrix_at_a_time(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_mod", counted)
     halves = _planted(GF31, 10, SeededRng(83))
     ranks, _ = _census_ranks(GF31, 10, _integer_stack(GF31, halves), False)
-    assert calls == [(135, 130)] * 3
+    assert calls == [(130, 135)] * 3  # L on its short side
     assert ranks == _expected_ranks(GF31, 10, halves)
     n, generic = 33, vec_half(sample_half(SeededRng(83), GF31, 33))
     calls.clear()
     assert _census_ranks(GF31, n, _integer_stack(GF31, [generic]), False)[0] == [n * (n + 3) - 4]
-    assert calls == [(n * (n - 1) // 2, 4 * n)]  # M, never 3n(n-1)/2 rows
+    assert calls == [(4 * n, n * (n - 1) // 2)]  # M on its short side, never 3n(n-1)/2 rows
 
 
 def _planted_blocks(field, n: int, rng: SeededRng) -> list[list]:
@@ -244,11 +245,11 @@ def test_rational_trials_are_settled_by_the_canonical_solutions(monkeypatch):
     s = n * (n + 1) // 2
     calls = []
 
-    def counted(m):
-        calls.append(m.shape)
-        return rank(m)
+    def counted(field, ints):
+        calls.append(ints.shape)
+        return _exact_rank(field, ints)
 
-    monkeypatch.setattr(census_module, "rank", counted)
+    monkeypatch.setattr(census_module, "_exact_rank", counted)
     generic = vec_half(sample_half(SeededRng(90), QQ, n))
     assert _census_ranks(QQ, n, _integer_stack(QQ, [generic]), True) == ([n * (n + 3) - 4], [4])
     assert calls == []  # rank mod p + 4 == width settles the trial
@@ -574,5 +575,5 @@ def test_rank_short_mod_p_only_runs_the_exact_check(monkeypatch):
     monkeypatch.setattr(census_module, "point_rank_check", counted)
     assert _point_ranks(gamma, rng.substream("directions"), points) == (True, points)
     assert exact == [directions[i]]
-    alpha = linalg._cleared_int_rows(evaluate_alpha(gamma, directions[i]))
+    alpha = linalg._integers(evaluate_alpha(gamma, directions[i]))
     assert rank(Matrix(GF31, alpha.tolist())) < n == rank(evaluate_alpha(gamma, directions[i]))

@@ -11,7 +11,6 @@ from barthslice.linalg import (
     kernel_basis,
     matvec,
     rank,
-    row_space_canonical,
     rref,
     spans_match,
 )
@@ -285,9 +284,11 @@ def test_spans_match():
     assert spans_match(GF, [[1, 2, 3]], [[2, 4, 6]], 3)
 
 
-def test_row_space_canonical_drops_zero_rows():
-    m = Matrix(QQ, [[1, 2], [2, 4], [0, 0]])
-    assert row_space_canonical(m).data == [[Fraction(1), Fraction(2)]]
+def test_spans_match_ignores_zero_and_dependent_rows():
+    for field in (QQ, GF):
+        assert spans_match(field, [[1, 2], [2, 4], [0, 0]], [[3, 6]], 2)
+        assert spans_match(field, [[0, 0, 0]], [], 3)
+        assert not spans_match(field, [[1, 2], [2, 4], [0, 0]], [[1, 2], [0, 1]], 2)
 
 
 def test_scale_and_neg():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from barthslice.barth import FiberData, HalfData, SliceData, residual
+from barthslice import linalg
 from barthslice.census import sample_half
 from barthslice.errors import DomainError, ShapeError
 from barthslice.fields import PrimeField, RationalField
@@ -280,6 +281,26 @@ def test_pencil_planted_common_root(field, n):
         assert not rep.finite_ok
         assert rep.infinity_ok
         assert pencil_check(field, a1, a2, [field.sample(rng) for _ in range(n)], b2).ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_pencil_with_a_common_root_eliminates_c_once(field, monkeypatch):
+    # rank C = 2: C's kernel is read off the one elimination that ranks it
+    calls = []
+    rref_mod = linalg._rref_mod
+
+    def counted(a, p):
+        out = rref_mod(a, p)
+        calls.append((a.shape, len(out[1])))
+        return out
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    n = 5
+    a1, a2, b2 = (1, 2, 0, -1, 3), (0, 1, 4, 2, -2), (2, -1, 1, 0, 5)
+    b1 = [3 * (x + 2 * y) - 2 * z for x, y, z in zip(a1, a2, b2)]  # root t = 2
+    rep = pencil_check(field, a1, a2, b1, b2)
+    assert not rep.finite_ok and rep.infinity_ok
+    assert [call for call in calls if call[0] == (n * (n - 1) // 2, 3)] == [((10, 3), 2)]
 
 
 @pytest.mark.parametrize("field", [GF, QQ])
