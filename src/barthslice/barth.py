@@ -185,35 +185,43 @@ class GroupElement:
 # Residual and vectorization
 
 
+def _skew_gram(u: Matrix, v: Matrix) -> Matrix:
+    """Z - Z^T for Z = u^T v: one product and one transpose-subtract.
+
+    Stacking a symmetric X over the row x^T, and a symmetric Y over y^T,
+    gives Z = X Y + x y^T, so Z - Z^T = [X, Y] + x ^ y: every slice
+    equation at a point is one of these (`residual`, `monad.monad_condition`,
+    `monad.pencil_check`), as every bracket of `_krylov_brackets` is, there
+    on stacks of residues mod p.
+    """
+    z = u.T @ v
+    return z - z.T
+
+
 def wedge(field: Field, a, b) -> Matrix:
     """a b^T - b a^T for two equal-length vectors; always skew-symmetric."""
     if len(a) != len(b):
         raise ShapeError("wedge of vectors with different lengths")
-    a = [field.coerce(x) for x in a]
-    b = [field.coerce(x) for x in b]
-    sub, mul = field.sub, field.mul
-    n = len(a)
-    data = [[sub(mul(a[i], b[j]), mul(b[i], a[j])) for j in range(n)] for i in range(n)]
-    return Matrix._raw(field, data, n)
-
-
-def _commutator(x: Matrix, y: Matrix) -> Matrix:
-    return (x @ y) - (y @ x)
+    return _skew_gram(Matrix(field, [a]), Matrix(field, [b]))
 
 
 def residual(x: SliceData) -> SliceResidual:
-    """Evaluate the three slice equations at a point."""
+    """Evaluate the three slice equations at a point.
+
+    Each is one `_skew_gram` of stacked rows, by [X, Y] + x ^ y = Z - Z^T
+    with Z = [X; x^T]^T [Y; y^T] for symmetric X and Y: R1 pairs (A1, a1)
+    with (B1, b1), R2 pairs (A2, a2) with (B2, b2), and R3 pairs
+    [(A1, a1); (A2, a2)] with [(B2, b2); (B1, b1)], whose Z is the sum of
+    the two cross terms.
+    """
     h, f = x.half, x.fiber
-    field = x.field
-    r1 = _commutator(h.A1, f.B1) + wedge(field, h.a1, f.b1)
-    r2 = _commutator(h.A2, f.B2) + wedge(field, h.a2, f.b2)
-    r3 = (
-        _commutator(h.A1, f.B2)
-        + _commutator(h.A2, f.B1)
-        + wedge(field, h.a1, f.b2)
-        + wedge(field, h.a2, f.b1)
-    )
-    return SliceResidual(r1, r2, r3)
+    a1, a2 = h.A1.data + [list(h.a1)], h.A2.data + [list(h.a2)]
+    b1, b2 = f.B1.data + [list(f.b1)], f.B2.data + [list(f.b2)]
+
+    def gram(u, v):
+        return _skew_gram(Matrix._raw(x.field, u, x.n), Matrix._raw(x.field, v, x.n))
+
+    return SliceResidual(gram(a1, b1), gram(a2, b2), gram(a1 + a2, b2 + b1))
 
 
 def sym_index(n: int) -> list[tuple[int, int]]:
@@ -383,9 +391,10 @@ def _krylov_brackets(n: int, h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
 
         L(A, a)(Y, y) = Z - Z^T,    Z = A Y + a y^T,
 
-    read at the strict upper triangle.  Step k takes Z for columns 2k and
-    2k + 1 of L_j K_i, j the other block, from one stacked `_matmul_mod` of
-    A_j [X^k | Y_k], and then [X^{k+1} | Y_{k+1} | X^{k+1} x] from another.
+    read at the strict upper triangle (the identity `_skew_gram` evaluates
+    at a point).  Step k takes Z for columns 2k and 2k + 1 of L_j K_i, j
+    the other block, from one stacked `_matmul_mod` of A_j [X^k | Y_k], and
+    then [X^{k+1} | Y_{k+1} | X^{k+1} x] from another.
     """
     s, t = n * (n + 1) // 2, h.shape[0]
     vech, (a, b) = _vech_positions(n), np.triu_indices(n, 1)

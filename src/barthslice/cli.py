@@ -26,7 +26,7 @@ from .census import (
     fiber_census,
     witness_certificate,
 )
-from .errors import BarthSliceError, WitnessUnavailable
+from .errors import BarthSliceError
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 from .rng import SeededRng
 
@@ -157,66 +157,48 @@ def _run_dims(args) -> int:
     return 0
 
 
-def _run_census(args, *, check_family: bool) -> int:
-    lo, hi = _resolve_range(args)
-    field = _make_field(args)
-    rng = SeededRng(args.seed)
-    certs = []
-    ok = True
-    for n in range(lo, hi + 1):
-        cert = fiber_census(
-            n,
-            args.trials,
-            rng,
-            field,
-            check_family=check_family,
-            measure_timings=args.measure_timings,
+def _certify(args, n: int, rng, field):
+    """The certificate of charge n and its log line, without the verdict."""
+    if args.command == "witness":
+        cert = witness_certificate(
+            n, rng, field, points=args.points, measure_timings=args.measure_timings
         )
-        certs.append(cert)
-        passed = certificate_ok(cert)
-        ok = ok and passed
-        expected = expected_kernel_dim(n)
-        hit = cert.fiber_dims.get(expected, 0)
-        verdict = "pass" if passed else "FAIL"
-        line = (
-            f"census n={n}: dim {expected} in {hit}/{args.trials} trials "
-            f"(threshold {census_threshold(args.trials)}) {verdict}"
-        )
-        if check_family:
-            line = f"family n={n}: canonical span in all trials: {cert.family_check} {verdict}"
-        _log(line)
-    _emit(json.dumps([c.to_json_dict() for c in certs], indent=2), args.out)
-    return 0 if ok else 1
-
-
-def _run_witness(args) -> int:
-    lo, hi = _resolve_range(args)
-    field = _make_field(args)
-    rng = SeededRng(args.seed)
-    certs = []
-    ok = True
-    for n in range(lo, hi + 1):
-        try:
-            with warnings.catch_warnings():
-                # one stderr line per library warning, like every other log line
-                warnings.showwarning = lambda msg, *_: _log(f"witness n={n}: warning: {msg}")
-                cert = witness_certificate(
-                    n, rng, field, points=args.points, measure_timings=args.measure_timings
-                )
-        except WitnessUnavailable as exc:
-            _log(f"witness n={n}: {exc} FAIL")
-            _emit(json.dumps([c.to_json_dict() for c in certs], indent=2), args.out)
-            return 1
-        certs.append(cert)
-        passed = certificate_ok(cert)
-        ok = ok and passed
         w = cert.witness
-        _log(
+        return cert, (
             f"witness n={n}: fiber_dim={w.fiber_dim} residual_zero={w.residual_zero} "
             f"pencil=({w.pencil.finite_ok},{w.pencil.infinity_ok}) monad={w.monad_ok} "
-            f"ranks={w.point_ranks_ok} jacobian={w.jacobian_rank} "
-            f"{'pass' if passed else 'FAIL'}"
+            f"ranks={w.point_ranks_ok} jacobian={w.jacobian_rank}"
         )
+    family = args.command == "family"
+    cert = fiber_census(
+        n, args.trials, rng, field, check_family=family, measure_timings=args.measure_timings
+    )
+    if family:
+        return cert, f"family n={n}: canonical span in all trials: {cert.family_check}"
+    expected = expected_kernel_dim(n)
+    return cert, (
+        f"census n={n}: dim {expected} in {cert.fiber_dims.get(expected, 0)}/{args.trials} "
+        f"trials (threshold {census_threshold(args.trials)})"
+    )
+
+
+def _run_charges(args) -> int:
+    """census, family and witness: certify each charge, log its verdict,
+    emit the certificates, and exit 0 iff every one passed."""
+    lo, hi = _resolve_range(args)
+    field = _make_field(args)
+    rng = SeededRng(args.seed)
+    certs = []
+    ok = True
+    for n in range(lo, hi + 1):
+        with warnings.catch_warnings():
+            # one stderr line per library warning, like every other log line
+            warnings.showwarning = lambda msg, *_: _log(f"{args.command} n={n}: warning: {msg}")
+            cert, line = _certify(args, n, rng, field)
+        certs.append(cert)
+        passed = certificate_ok(cert)
+        ok = ok and passed
+        _log(f"{line} {'pass' if passed else 'FAIL'}")
     _emit(json.dumps([c.to_json_dict() for c in certs], indent=2), args.out)
     return 0 if ok else 1
 
@@ -243,13 +225,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "dims":
             return _run_dims(args)
-        if args.command == "census":
-            return _run_census(args, check_family=False)
-        if args.command == "family":
-            return _run_census(args, check_family=True)
-        if args.command == "witness":
-            return _run_witness(args)
-        return _run_selftest(args)
+        if args.command == "selftest":
+            return _run_selftest(args)
+        return _run_charges(args)
     except (UsageError, BarthSliceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

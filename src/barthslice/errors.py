@@ -19,7 +19,3 @@ class InvariantError(BarthSliceError, ValueError):
 
 class SamplingError(BarthSliceError, RuntimeError):
     """Random sampling failed to produce an admissible object."""
-
-
-class WitnessUnavailable(BarthSliceError, RuntimeError):
-    """The linear fiber system has no nonzero solution to draw a witness from."""

@@ -15,6 +15,12 @@ diagonal blocks M_33, M_44 are the first two residuals and M_34 + M_43 the
 third, while the remaining conditions hold identically by symmetry of the
 A and B blocks.
 
+q pairs row k of gamma with row n + k (k < n), and row 2n with row 2n + 1,
+so with U the rows 0..n-1 and 2n and V the rows n..2n-1 and 2n+1,
+G = U^T V - V^T U = Z - Z^T for Z = U^T V: one product, and skew by
+construction, so no skew assertion is needed.  Its blocks are the slice
+equations in the Gram form of `barth._skew_gram`.
+
 The module also checks the two genericity conditions used to certify that a
 point yields an honest monad: pointwise injectivity of the linear map
 alpha(v) = gamma (v (x) I_n) on a sample of fibre directions, and the rank
@@ -27,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .barth import SliceData, skew_index, wedge
-from .errors import DomainError, InvariantError, ShapeError
+from .barth import SliceData, _skew_gram, skew_index, wedge
+from .errors import DomainError, ShapeError
 from .fields import Field
 from .linalg import Matrix, kernel_basis, rank
 
@@ -70,35 +76,20 @@ def build_gamma(x: SliceData) -> GammaMatrix:
     return GammaMatrix(n, Matrix._raw(field, rows, 4 * n))
 
 
-def symplectic_form(field: Field, n: int) -> Matrix:
-    """q = diag(J_2n, J_2) with J_2k = [[0, I_k], [-I_k, 0]]; size 2n+2."""
-    z, one = field.zero(), field.one()
-    neg_one = field.neg(one)
-    size = 2 * n + 2
-    data = [[z] * size for _ in range(size)]
-    for i in range(n):
-        data[i][n + i] = one
-        data[n + i][i] = neg_one
-    data[2 * n][2 * n + 1] = one
-    data[2 * n + 1][2 * n] = neg_one
-    return Matrix._raw(field, data, size)
-
-
 def monad_condition(gamma: GammaMatrix) -> bool:
     """Whether the Gram blocks vanish in pairs: M_ii = 0, M_ij + M_ji = 0.
 
-    G = gamma^T q gamma is skew because q is; this is asserted rather than
-    assumed.  For skew G, M_ji = -M_ij^T and each M_ii is skew, so the
-    condition holds iff every block M_ij with i <= j is symmetric
+    G = gamma^T q gamma is one `_skew_gram` of gamma's paired rows (see the
+    module docstring).  For skew G, M_ji = -M_ij^T and each M_ii is skew,
+    so the condition holds iff every block M_ij with i <= j is symmetric
     (characteristic != 2), which needs comparisons only.  It is equivalent
     to the residual of the underlying slice point being zero; the
     equivalence is exercised independently by the test suite.
     """
-    n = gamma.n
-    g = gamma.body.T @ symplectic_form(gamma.field, n) @ gamma.body
-    if g.T != -g:
-        raise InvariantError("Gram matrix is not skew-symmetric")
-    d = g.data
+    n, rows = gamma.n, gamma.body.data
+    u = Matrix._raw(gamma.field, rows[:n] + [rows[2 * n]], 4 * n)
+    v = Matrix._raw(gamma.field, rows[n:2 * n] + [rows[2 * n + 1]], 4 * n)
+    d = _skew_gram(u, v).data
     for bi in range(0, 4 * n, n):
         for bj in range(bi, 4 * n, n):
             for k, l in skew_index(n):
@@ -150,10 +141,11 @@ def pencil_check(field: Field, a1, a2, b1, b2) -> PencilReport:
 
     The (i, j) minor of [a1 + t a2 | b1 + t b2] is c0 + c1 t + c2 t^2 with
     c0, c1, c2 the (i, j) entries of a1^b1, a1^b2 + a2^b1 and a2^b2, the
-    wedges of the slice equations.  Stack them as the rows of the
-    n(n-1)/2 x 3 matrix C.  The minors share a root r over the algebraic
-    closure iff (1, r, r^2) lies in ker C, whose basis, read off one
-    elimination, has 3 - rank C vectors:
+    wedges of the slice equations (c1 as one `_skew_gram` of [a1; a2] with
+    [b2; b1]).  Stack them as the rows of the n(n-1)/2 x 3 matrix C.  The
+    minors share a root r over the algebraic closure iff (1, r, r^2) lies
+    in ker C, whose basis, read off one elimination, has 3 - rank C
+    vectors:
 
     * rank C = 3: the kernel is zero, so finite_ok holds;
     * rank C = 2: the kernel is spanned by one vector w, and it contains
@@ -171,7 +163,7 @@ def pencil_check(field: Field, a1, a2, b1, b2) -> PencilReport:
         if len(vec) != n:
             raise ShapeError(f"{name} has length {len(vec)}, expected {n}")
     w11 = wedge(field, a1, b1).data
-    w12 = (wedge(field, a1, b2) + wedge(field, a2, b1)).data
+    w12 = _skew_gram(Matrix(field, [a1, a2]), Matrix(field, [b2, b1])).data
     w22 = wedge(field, a2, b2).data
     c = Matrix._raw(field, [[w11[i][j], w12[i][j], w22[i][j]] for i, j in skew_index(n)], 3)
     z = field.zero()

@@ -27,7 +27,6 @@ PUBLIC_API = [
     "SliceData",
     "SliceResidual",
     "WitnessReport",
-    "WitnessUnavailable",
     "__version__",
     "apply_group",
     "build_gamma",
@@ -60,7 +59,6 @@ PUBLIC_API = [
     "skew_index",
     "spans_match",
     "sym_index",
-    "symplectic_form",
     "vec_fiber",
     "vec_half",
     "vec_skew",

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from barthslice.barth import FiberData, HalfData, SliceData, residual
+from barthslice.barth import (
+    FiberData,
+    HalfData,
+    SliceData,
+    SliceResidual,
+    _skew_gram,
+    residual,
+    skew_index,
+    wedge,
+)
 from barthslice import linalg
 from barthslice.census import sample_half
 from barthslice.errors import DomainError, ShapeError
@@ -10,12 +19,12 @@ from barthslice.fields import PrimeField, RationalField
 from barthslice.linalg import Matrix, rank
 from barthslice.monad import (
     GammaMatrix,
+    PencilReport,
     build_gamma,
     evaluate_alpha,
     monad_condition,
     pencil_check,
     point_rank_check,
-    symplectic_form,
 )
 from barthslice.rng import SeededRng
 from barthslice.selftest import _kernel_point
@@ -91,10 +100,29 @@ def test_gamma_matrix_validates_shape():
 # symplectic form and Gram blocks
 
 
+def symplectic_form(field, n):
+    """q = diag(J_2n, J_2) with J_2k = [[0, I_k], [-I_k, 0]]; size 2n+2."""
+    z, one = field.zero(), field.one()
+    neg_one = field.neg(one)
+    size = 2 * n + 2
+    data = [[z] * size for _ in range(size)]
+    for i in range(n):
+        data[i][n + i] = one
+        data[n + i][i] = neg_one
+    data[2 * n][2 * n + 1] = one
+    data[2 * n + 1][2 * n] = neg_one
+    return Matrix(field, data, size)
+
+
+def oracle_gram(gamma):
+    # the q-sandwich, two products
+    return gamma.body.T @ symplectic_form(gamma.field, gamma.n) @ gamma.body
+
+
 def gram_blocks(gamma):
     """Block reader for gamma^T q gamma: block(i, j) is M_ij = C_i^T q C_j."""
     n = gamma.n
-    g = gamma.body.T @ symplectic_form(gamma.field, n) @ gamma.body
+    g = oracle_gram(gamma)
 
     def block(i, j):
         return g.submatrix(i * n, (i + 1) * n, j * n, (j + 1) * n)
@@ -265,18 +293,23 @@ def test_pencil_minor_with_finite_roots():
     assert rep.infinity_ok
 
 
+def planted_pencil(rng, field, n):
+    # b1 + r b2 = c (a1 + r a2): the pencil drops rank at t = r
+    a1, a2, b2 = ([field.sample(rng) for _ in range(n)] for _ in range(3))
+    r, c = field.sample(rng), field.sample(rng)
+    b1 = [
+        field.sub(field.mul(c, field.add(x, field.mul(r, y))), field.mul(r, z))
+        for x, y, z in zip(a1, a2, b2)
+    ]
+    return a1, a2, b1, b2
+
+
 @pytest.mark.parametrize("field", [GF, QQ])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pencil_planted_common_root(field, n):
-    # b1 + r b2 = c (a1 + r a2): the pencil drops rank at t = r
     rng = SeededRng(91).substream(f"{field.describe()}/{n}")
     for _ in range(5):
-        a1, a2, b2 = ([field.sample(rng) for _ in range(n)] for _ in range(3))
-        r, c = field.sample(rng), field.sample(rng)
-        b1 = [
-            field.sub(field.mul(c, field.add(x, field.mul(r, y))), field.mul(r, z))
-            for x, y, z in zip(a1, a2, b2)
-        ]
+        a1, a2, b1, b2 = planted_pencil(rng, field, n)
         rep = pencil_check(field, a1, a2, b1, b2)
         assert not rep.finite_ok
         assert rep.infinity_ok
@@ -353,3 +386,128 @@ def test_pencil_n1_no_minors():
     rep = pencil_check(QQ, (1,), (1,), (1,), (1,))
     assert not rep.finite_ok
     assert not rep.infinity_ok
+
+
+# ---------------------------------------------------------------------------
+# the Gram form against the entrywise evaluations it replaced
+
+GRAM_FIELDS = [
+    PrimeField(2**31 - 1),
+    PrimeField(2**61 - 1),
+    RationalField(sample_window=1),
+    RationalField(sample_window=100),
+]
+
+
+def oracle_wedge(field, a, b):
+    a = [field.coerce(x) for x in a]
+    b = [field.coerce(x) for x in b]
+    n = len(a)
+    rows = [[field.sub(field.mul(a[i], b[j]), field.mul(b[i], a[j])) for j in range(n)] for i in range(n)]
+    return Matrix(field, rows, n)
+
+
+def oracle_residual(x):
+    # six commutator products and four entrywise wedges
+    h, f, field = x.half, x.fiber, x.field
+
+    def bracket(p, q):
+        return p @ q - q @ p
+
+    return SliceResidual(
+        bracket(h.A1, f.B1) + oracle_wedge(field, h.a1, f.b1),
+        bracket(h.A2, f.B2) + oracle_wedge(field, h.a2, f.b2),
+        bracket(h.A1, f.B2) + bracket(h.A2, f.B1)
+        + oracle_wedge(field, h.a1, f.b2) + oracle_wedge(field, h.a2, f.b1),
+    )
+
+
+def oracle_monad_condition(gamma):
+    n, g = gamma.n, oracle_gram(gamma)
+    assert g.T == -g
+    return all(
+        g.data[bi + k][bj + l] == g.data[bi + l][bj + k]
+        for bi in range(0, 4 * n, n)
+        for bj in range(bi, 4 * n, n)
+        for k, l in skew_index(n)
+    )
+
+
+def oracle_pencil_check(field, a1, a2, b1, b2):
+    # C from four entrywise wedges, ranked and read as in pencil_check
+    w11 = oracle_wedge(field, a1, b1).data
+    w12 = (oracle_wedge(field, a1, b2) + oracle_wedge(field, a2, b1)).data
+    w22 = oracle_wedge(field, a2, b2).data
+    c = Matrix(field, [[w11[i][j], w12[i][j], w22[i][j]] for i, j in skew_index(len(a1))], 3)
+    z, r = field.zero(), rank(c)
+    if r == 3:
+        finite_ok = True
+    elif r == 2:
+        (w,) = linalg.kernel_basis(c)
+        finite_ok = w[0] == z or field.mul(w[1], w[1]) != field.mul(w[0], w[2])
+    elif r == 1:
+        finite_ok = all(row[1] == z and row[2] == z for row in c.data)
+    else:
+        finite_ok = False
+    return PencilReport(finite_ok, any(row[2] != z for row in c.data))
+
+
+@pytest.mark.parametrize("field", GRAM_FIELDS, ids=lambda f: f.describe())
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gram_evaluations_match_the_entrywise_oracles(field, n):
+    rng = SeededRng(92).substream(f"{field.describe()}/{n}")
+    on = kernel_slice(rng, field, n)
+    b2 = [field.sample(rng) for _ in range(n)]
+    # random points, a kernel point, and that point with b2 redrawn (only
+    # the second and third equations move)
+    points = [random_slice(rng, field, n), random_slice(rng, field, n), on,
+              SliceData(on.half, FiberData(on.fiber.B1, on.fiber.B2, on.fiber.b1, b2))]
+    for x in points:
+        h, f = x.half, x.fiber
+        got, want = residual(x), oracle_residual(x)
+        assert (got.R1, got.R2, got.R3) == (want.R1, want.R2, want.R3)
+        assert wedge(field, h.a1, f.b2) == oracle_wedge(field, h.a1, f.b2)
+        gamma = build_gamma(x)
+        rows = gamma.body.data
+        u = Matrix(field, rows[:n] + [rows[2 * n]], 4 * n)
+        v = Matrix(field, rows[n:2 * n] + [rows[2 * n + 1]], 4 * n)
+        assert _skew_gram(u, v) == oracle_gram(gamma)
+        assert monad_condition(gamma) == oracle_monad_condition(gamma)
+        assert pencil_check(field, h.a1, h.a2, f.b1, f.b2) == oracle_pencil_check(
+            field, h.a1, h.a2, f.b1, f.b2
+        )
+    assert monad_condition(build_gamma(on)) and residual(on).is_zero()
+
+
+@pytest.mark.parametrize("field", GRAM_FIELDS, ids=lambda f: f.describe())
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pencil_planted_common_root_matches_the_oracle(field, n):
+    rng = SeededRng(94).substream(f"{field.describe()}/{n}")
+    for _ in range(3):
+        vecs = planted_pencil(rng, field, n)
+        rep = pencil_check(field, *vecs)
+        assert rep == oracle_pencil_check(field, *vecs)
+        assert not rep.finite_ok
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_each_slice_equation_is_one_product(field, monkeypatch):
+    # residual: one product per equation; monad_condition: one Gram product
+    x = kernel_slice(SeededRng(93), field, 4)
+    gamma = build_gamma(x)
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    residual(x)
+    assert calls == [((4, 5), (5, 4))] * 2 + [((4, 10), (10, 4))]
+    calls.clear()
+    monad_condition(gamma)
+    assert calls == [((16, 5), (5, 16))]
+    calls.clear()
+    wedge(field, x.half.a1, x.fiber.b1)
+    assert calls == [((4, 1), (1, 4))]
