@@ -19,6 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .barth import (
+    FiberData,
     HalfData,
     SliceData,
     _canonical_stack,
@@ -26,17 +27,14 @@ from .barth import (
     _fiber_stack,
     _krylov_brackets,
     fiber_from_vec,
-    fiber_system,
     half_from_vec,
-    jacobian,
     residual,
-    vec_half,
 )
 from .errors import DomainError, SamplingError
 from .fields import Field, PrimeField
-from .linalg import (_STACK_ENTRIES, Matrix, _exact_rank, _integers, _matmul_mod, _primes, _ranks_mod,
-                     _residues, kernel_basis, rank)
-from .monad import GammaMatrix, PencilReport, build_gamma, monad_condition, pencil_check, point_rank_check
+from .linalg import (_STACK_ENTRIES, Matrix, _exact_rank, _integers, _kernel, _matmul_mod, _primes, _ranks_mod,
+                     _residues)
+from .monad import GammaMatrix, PencilReport, build_gamma, monad_condition, pencil_check
 from .rng import ALGORITHM_ID, SeededRng
 
 CERTIFICATE_VERSION = f"{__version__}+{ALGORITHM_ID}"
@@ -190,14 +188,14 @@ def _timings_ms(start: float, measure: bool) -> dict:
 
 
 def sample_half(rng: SeededRng, field: Field, n: int) -> HalfData:
-    """Uniform half datum, from the draws of `_half_draws`."""
-    return half_from_vec(field, n, _half_draws(rng, field, n))
+    """Uniform half datum, its coordinates drawn in vec_half order."""
+    return half_from_vec(field, n, [field.sample(rng) for _ in range(n * (n + 3))])
 
 
-def _half_draws(rng: SeededRng, field: Field, n: int) -> list:
-    """Uniform half coordinates, drawn in vec_half order: vech(A1), vech(A2),
-    a1, a2 (triangles row-major)."""
-    return [field.sample(rng) for _ in range(n * (n + 3))]
+def _integer_draws(rng: SeededRng, field: Field, count: int) -> np.ndarray:
+    """`count` uniform draws, in order, as one `_integers` row: residues over GF(p), and
+    over QQ Python ints, the draws themselves, since `RationalField.sample` draws integers."""
+    return _integers(Matrix._raw(field, [[field.sample(rng) for _ in range(count)]], count))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +247,11 @@ def fiber_census(n: int, trials: int, rng: SeededRng, field: Field, *,
 
 
 def _census_halves(rng: SeededRng, field: Field, n: int, trials: int) -> np.ndarray:
-    """Row t holds trial t's half coordinates, drawn by `_half_draws` from
-    substream census/n=../trial=t, as `_integers`: residues over GF(p), and
-    over QQ the row cleared of denominators (Python ints), which scales L
-    and the canonical solutions without changing a rank.  Each trial is
-    cleared alone, so no temporary spans all the draws."""
-    width = n * (n + 3)
-    rows = []
-    for trial in range(trials):
-        draws = _half_draws(rng.substream(f"census/n={n}/trial={trial}"), field, n)
-        rows.append(_integers(Matrix._raw(field, [draws], width))[0])
-    return np.array(rows)
+    """Row t holds trial t's half coordinates, the `_integer_draws` of
+    substream census/n=../trial=t.  Each trial is cleared alone, so no
+    temporary spans all the draws."""
+    return np.array([_integer_draws(rng.substream(f"census/n={n}/trial={trial}"), field, n * (n + 3))
+                     for trial in range(trials)])
 
 
 def _census_ranks(field: Field, n: int, h: np.ndarray, check_family: bool) -> tuple[list, list]:
@@ -343,17 +335,21 @@ def certificate_ok(cert: Certificate) -> bool:
 # Witness
 
 
-def _nonzero_kernel_point(rng: SeededRng, field: Field, basis: list, width: int) -> list:
-    """Random field combination of kernel basis vectors, resampled if zero:
-    a 1 x len(basis) row of draws times the basis."""
-    z = field.zero()
-    vectors = Matrix._raw(field, basis, width)
+def _nonzero_kernel_point(rng: SeededRng, field: Field, k: np.ndarray) -> np.ndarray:
+    """K c for `_kernel`'s K and c a column of `_integer_draws`, drawn again while zero: mod p
+    over GF(p), and over QQ in Python ints, d times the same draws on `kernel_basis`'s K / d."""
     for _ in range(64):
-        draws = Matrix._raw(field, [[field.sample(rng) for _ in basis]], len(basis))
-        point = (draws @ vectors).data[0]
-        if any(e != z for e in point):
+        c = _integer_draws(rng, field, k.shape[1])
+        point = _matmul_mod(k, c[:, None], field.p)[:, 0] if isinstance(field, PrimeField) else k @ c
+        if point.any():
             return point
     raise SamplingError("could not sample a nonzero kernel point in 64 attempts")
+
+
+def _fiber_point(field: Field, n: int, point: np.ndarray, d: int) -> FiberData:
+    """The fiber at the integer kernel point over `_kernel`'s d (1 over GF(p))."""
+    coords = point.tolist() if isinstance(field, PrimeField) else [field.coerce(x) / d for x in point.tolist()]
+    return fiber_from_vec(field, n, coords)
 
 
 def _sample_direction(rng: SeededRng, field: Field) -> list:
@@ -375,23 +371,23 @@ def _point_ranks(gamma: GammaMatrix, rng: SeededRng, points: int) -> tuple[bool,
     integer gamma and directions mod p by one `_matmul_mod`, and ranked by
     one `_ranks_mod`.  Over GF(p) that is the exact rank.  Over QQ p is the
     first prime of the QQ elimination: full rank mod p is full rank, and
-    only a direction short mod p is ranked again, exactly
-    (`point_rank_check`).  So every verdict is the exact one.  A stack holds
-    at most _STACK_ENTRIES entries of alpha.
+    only a direction short mod p is ranked again, exactly, by `_exact_rank`
+    of its integer alpha(v).  So every verdict is the exact one.  A stack
+    holds at most _STACK_ENTRIES entries of alpha.
     """
     field, n = gamma.field, gamma.n
     prime = isinstance(field, PrimeField)
     p = field.p if prime else next(_primes())
     # (4, (2n+2) n): row j is the column block C_{j+1} of gamma, flattened
-    blocks = _residues(_integers(gamma.body), p).reshape(2 * n + 2, 4, n).transpose(1, 0, 2)
-    blocks = blocks.reshape(4, -1)
+    blocks = _integers(gamma.body).reshape(2 * n + 2, 4, n).transpose(1, 0, 2).reshape(4, -1)
+    residues = _residues(blocks, p)
     step = max(1, _STACK_ENTRIES // blocks.shape[1])
     for lo in range(0, points, step):
         directions = [_sample_direction(rng, field) for _ in range(min(step, points - lo))]
-        v = _residues(_integers(Matrix._raw(field, directions, 4)), p)
-        ranks = _ranks_mod(_matmul_mod(v, blocks, p).reshape(len(directions), 2 * n + 2, n), p)
-        for i, (r, direction) in enumerate(zip(ranks, directions)):
-            if r < n and (prime or not point_rank_check(gamma, direction)):
+        v = _integers(Matrix._raw(field, directions, 4))
+        ranks = _ranks_mod(_matmul_mod(_residues(v, p), residues, p).reshape(len(v), 2 * n + 2, n), p)
+        for i, r in enumerate(ranks):
+            if r < n and (prime or _exact_rank(field, (v[i] @ blocks).reshape(2 * n + 2, n)) < n):
                 return False, lo + i + 1
     return True, points
 
@@ -410,7 +406,8 @@ def witness_certificate(n: int, rng: SeededRng, field: Field, *,
     fails ends the check.  While the kernel is larger than the span of the
     canonical solutions, a point in that span, where b_i is a multiple of
     a_i and the pencil fails, is drawn again, at most 64 times.  The
-    verdicts are the certificate's `witness`.
+    verdicts are the certificate's `witness`.  All but the stage checks
+    run on the census's integer images.
     """
     _require_count(n, "charge n")
     _require_count(points, "points")
@@ -421,27 +418,30 @@ def witness_certificate(n: int, rng: SeededRng, field: Field, *,
             stacklevel=2,
         )
     start = time.perf_counter()
-    half = sample_half(rng.substream(f"witness/n={n}/half"), field, n)
+    h = _integer_draws(rng.substream(f"witness/n={n}/half"), field, n * (n + 3))
+    system = _fiber_stack(n, _fiber_blocks(n, h[None]))[0]
     # never empty: (I, 0, 0, 0) solves every fiber system ([A, I] = 0, a ^ 0 = 0)
-    basis = kernel_basis(fiber_system(half))
-    width = n * (n + 3)
-    canonical = _canonical_stack(n, np.array([vec_half(half)], dtype=object))[0].tolist()
-    span = rank(Matrix(field, canonical, width))
+    k, d = _kernel(field, system)
+    canonical = _canonical_stack(n, h[None])[0]
+    span = _exact_rank(field, canonical)
     coeff_rng = rng.substream(f"witness/n={n}/coeffs")
     for _ in range(64):
-        point = _nonzero_kernel_point(coeff_rng, field, basis, width)
-        if len(basis) == span or rank(Matrix(field, canonical + [point], width)) > span:
+        point = _nonzero_kernel_point(coeff_rng, field, k)
+        if k.shape[1] == span or _exact_rank(field, np.vstack([canonical, point])) > span:
             break
     else:
         raise SamplingError("could not sample a kernel point off the canonical span in 64 attempts")
-    fiber = fiber_from_vec(field, n, point)
+    # J = [-L(point) | L(h)]: the fiber's columns times d, which changes no rank
+    jac_rank = _exact_rank(field, np.hstack([_fiber_stack(n, _fiber_blocks(n, -point[None]))[0], system]))
+    # stage checks: h is sample_half's half, as QQ draws are integers; the fiber
+    # is the point over d, as alpha(v) keeps gamma's -I and is not scale-free
+    half = half_from_vec(field, n, h.tolist())
+    fiber = _fiber_point(field, n, point, d)
     x = SliceData(half, fiber)
-
     gamma = build_gamma(x)
     points_ok, checked = _point_ranks(gamma, rng.substream(f"witness/n={n}/points"), points)
-    jac_rank = rank(jacobian(x))
     report = WitnessReport(
-        fiber_dim=len(basis),
+        fiber_dim=k.shape[1],
         residual_zero=residual(x).is_zero(),
         pencil=pencil_check(field, half.a1, half.a2, fiber.b1, fiber.b2),
         monad_ok=monad_condition(gamma),
@@ -456,7 +456,7 @@ def witness_certificate(n: int, rng: SeededRng, field: Field, *,
         field=field.describe(),
         n=n,
         trials=1,
-        fiber_dims={len(basis): 1},
+        fiber_dims={k.shape[1]: 1},
         family_check=None,
         witness=report,
         timings_ms=_timings_ms(start, measure_timings),

@@ -104,11 +104,6 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls._raw(field, [[z] * cols for _ in range(rows)], cols)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         z, o = field.zero(), field.one()
         data = [[o if i == j else z for j in range(n)] for i in range(n)]
@@ -157,10 +152,6 @@ class Matrix:
             for ra, rb in zip(self.data, other.data)
         ]
         return Matrix._raw(self.field, data, self.cols)
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix._raw(self.field, [[neg(a) for a in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product, one integer-array product for every field.
@@ -348,18 +339,15 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _free_kernel(a: np.ndarray, pivots: list[int], zero=0, one=1) -> np.ndarray:
-    """Kernel basis of a reduced row echelon form `a` with pivot columns
-    `pivots`, as the columns of a (cols, cols - rank) array of a's dtype:
-    one column per free column f, in increasing order, `one` at f, -a[i][f]
-    at the i-th pivot column and `zero` elsewhere.  Not reduced: over GF(p)
-    take it mod p."""
-    is_free = np.ones(a.shape[1], dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    k = np.full((a.shape[1], free.size), zero, dtype=a.dtype)
-    k[free, np.arange(free.size)] = one
-    k[pivots] = -a[:len(pivots), free]
+def _free_kernel(x: np.ndarray, pivots: list[int], cols: int, d=1) -> np.ndarray:
+    """Kernel basis of an RREF R with pivot columns `pivots`, from its free
+    columns x = d R[:rank, free]: a (cols, cols - rank) array of x's dtype, one
+    column per free column f in increasing order, d at f, -x[i][f] at the i-th
+    pivot column and 0 elsewhere.  Not reduced: over GF(p) take it mod p."""
+    free = np.delete(np.arange(cols), pivots)
+    k = np.zeros((cols, free.size), dtype=x.dtype)
+    k[free, np.arange(free.size)] = d
+    k[pivots] = -x
     return k
 
 
@@ -580,22 +568,16 @@ def _rref_qq(ints: np.ndarray, image: tuple | None = None) -> tuple[int, np.ndar
             raise InvariantError("QQ echelon form not certified within the Hadamard bound")
 
 
-def _rref_array(m: Matrix) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form as an array of canonical entries (residues,
-    or Fractions), and its pivot columns."""
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns (both canonical)."""
     if isinstance(m.field, PrimeField):
-        return _rref_mod(_integers(m), m.field.p)
+        arr, pivots = _rref_mod(_integers(m), m.field.p)
+        return _from_np(m.field, arr), pivots
     d, num, pivots = _rref_qq(_integers(m))
     out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
     out[:len(pivots), sorted(set(range(m.cols)) - set(pivots))] = np.frompyfunc(Fraction, 2, 1)(num, d)
     out[range(len(pivots)), pivots] = Fraction(1)
-    return out, pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns (both canonical)."""
-    arr, pivots = _rref_array(m)
-    return _from_np(m.field, arr), pivots
+    return _from_np(m.field, out), pivots
 
 
 def _exact_rank(field: Field, ints: np.ndarray) -> int:
@@ -615,6 +597,18 @@ def rank(m: Matrix) -> int:
     return _exact_rank(m.field, _integers(m))
 
 
+def _kernel(field: Field, ints: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer basis K (columns) of the right kernel of the matrix with
+    `_integers` image `ints`, and d > 0 with K / d `kernel_basis`'s basis: over
+    GF(p) residues and d = 1, over QQ `_free_kernel` of `_rref_qq` (Python ints)."""
+    if isinstance(field, PrimeField):
+        red, pivots = _rref_mod(ints, field.p)
+        x = np.delete(red[:len(pivots)], pivots, axis=1)
+        return _free_kernel(x, pivots, ints.shape[1]) % field.p, 1
+    d, num, pivots = _rref_qq(ints)
+    return _free_kernel(num, pivots, ints.shape[1], d), d
+
+
 def kernel_basis(m: Matrix) -> list[list]:
     """Canonical basis of the right kernel, read off a single elimination.
 
@@ -623,13 +617,11 @@ def kernel_basis(m: Matrix) -> list[list]:
     order of f: v is 1 at f, 0 at the other free columns, and -R[i][f] at
     the i-th pivot column.  R and its pivots depend only on the row space
     of m, which the kernel determines, so two kernels coincide as subspaces
-    iff the returned bases are equal.
+    iff the returned bases are equal.  It is `_kernel`'s K over its d.
     """
-    field = m.field
-    k = _free_kernel(*_rref_array(m), field.zero(), field.one())
-    if isinstance(field, PrimeField):
-        k %= field.p
-    return k.T.tolist()
+    k, d = _kernel(m.field, _integers(m))
+    k = k.T.tolist()
+    return k if isinstance(m.field, PrimeField) else [[Fraction(x, d) for x in v] for v in k]
 
 
 def inverse(m: Matrix) -> Matrix:

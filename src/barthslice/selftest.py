@@ -30,9 +30,9 @@ from .barth import (
     vec_half,
     vec_skew,
 )
-from .census import _nonzero_kernel_point, sample_half
+from .census import _fiber_point, _nonzero_kernel_point, sample_half
 from .fields import Field, PrimeField, RationalField
-from .linalg import Matrix, kernel_basis, matvec, rank
+from .linalg import Matrix, _integers, _kernel, kernel_basis, matvec, rank
 from .monad import build_gamma, monad_condition
 from .rng import SeededRng
 
@@ -156,9 +156,8 @@ def _check_bilinearity(field: Field, rng: SeededRng, n: int, count: int) -> bool
 def _kernel_point(rng: SeededRng, field: Field, half: HalfData) -> FiberData:
     """Random point of the fiber over `half`: a nonzero random combination of
     its kernel basis, possibly in the span of the canonical solutions."""
-    n = half.n
-    basis = kernel_basis(fiber_system(half))
-    return fiber_from_vec(field, n, _nonzero_kernel_point(rng, field, basis, n * (n + 3)))
+    k, d = _kernel(field, _integers(fiber_system(half)))
+    return _fiber_point(field, half.n, _nonzero_kernel_point(rng, field, k), d)
 
 
 def _check_monad_equivalence(field: Field, rng: SeededRng, n: int,

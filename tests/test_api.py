@@ -74,7 +74,6 @@ MATRIX_API = [
     "__eq__",
     "__init__",
     "__matmul__",
-    "__neg__",
     "__repr__",
     "__sub__",
     "cols",
@@ -88,7 +87,6 @@ MATRIX_API = [
     "rows",
     "shape",
     "submatrix",
-    "zeros",
 ]
 
 

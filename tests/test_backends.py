@@ -43,8 +43,8 @@ from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
 from barthslice.census import sample_half, witness_certificate
 from barthslice.errors import InvariantError
 from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
-from barthslice.linalg import (Matrix, _PANEL, _exact_rank, _free_kernel, _from_np, _integers, _matmul_mod,
-                               _residues, _rref_array, _rref_mod, kernel_basis, rank, rref)
+from barthslice.linalg import (Matrix, _PANEL, _exact_rank, _free_kernel, _from_np, _integers, _kernel, _matmul_mod,
+                               _residues, _rref_mod, kernel_basis, rank, rref)
 from barthslice.rng import SeededRng
 
 P31 = 2**31 - 1
@@ -205,7 +205,7 @@ _RREF61 = {}
 
 def _rref61(label: str, m: Matrix) -> tuple[np.ndarray, list[int]]:
     if label not in _RREF61:
-        _RREF61[label] = _rref_array(_over(GF61, m))
+        _RREF61[label] = _rref_mod(_integers(_over(GF61, m)), P61)
     return _RREF61[label]
 
 
@@ -279,6 +279,21 @@ def test_exact_rank_matches_the_oracles(label, m, field):
         assert oracle == expected or label not in dict(CASES)
         expected = oracle
     assert _exact_rank(field, _integers(m)) == expected
+
+
+@pytest.mark.parametrize("field", [GF31, GF61, QQ], ids=["GF31", "GF61", "QQ"])
+@pytest.mark.parametrize("label, m", ORACLE_CASES, ids=[label for label, _ in ORACLE_CASES])
+def test_integer_kernel_is_kernel_basis_times_d(label, m, field):
+    # K annihilates the integer image exactly over QQ and mod p over GF(p),
+    # and K over its d is the canonical basis
+    if field is not QQ:
+        m = _over(field, m)
+    ints = _integers(m)
+    k, d = _kernel(field, ints)
+    assert d > 0 and (field is QQ or d == 1)
+    product = ints.astype(object) @ k.astype(object)
+    assert not (product if field is QQ else product % field.p).any()
+    assert [[Fraction(x, d) for x in v] for v in k.T.tolist()] == kernel_basis(m)
 
 
 def test_integers_are_int64_below_2_31_and_python_ints_past_it_and_over_qq():
@@ -386,7 +401,8 @@ def test_rational_results_reduce_to_modular_ones(label, m):
     arr, pivots = _rref61(label, m)
     # over GF(2^61 - 1), rref and kernel_basis as read off the shared elimination
     modular = [(P31, *rref(gf), kernel_basis(gf)),
-               (P61, _from_np(GF61, arr), pivots, (_free_kernel(arr, pivots) % P61).T.tolist())]
+               (P61, _from_np(GF61, arr), pivots,
+                (_free_kernel(np.delete(arr[:len(pivots)], pivots, axis=1), pivots, m.cols) % P61).T.tolist())]
     for p, red_gf, pivots_gf, kernel_gf in modular:
         assert pivots_qq == pivots_gf
         assert [[_mod(x, p) for x in row] for row in red_qq.data] == red_gf.data

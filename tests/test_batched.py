@@ -553,7 +553,7 @@ def test_planted_rank_drop_stops_the_points_at_its_direction(field, monkeypatch)
     gamma = _planted_gamma(field, n, rng.substream("gamma"), directions[i], 0)
     assert _loop_point_ranks(gamma, rng.substream("directions"), points) == (False, i + 1)
     if field is not QQ:  # the rank mod p is the exact one: a second rank raises NameError
-        monkeypatch.delattr(census_module, "point_rank_check")
+        monkeypatch.delattr(census_module, "_exact_rank")
     assert _point_ranks(gamma, rng.substream("directions"), points) == (False, i + 1)
 
 
@@ -567,13 +567,17 @@ def test_rank_short_mod_p_only_runs_the_exact_check(monkeypatch):
     i = next(k for k in range(9, points) if directions[k][3] != 0)
     gamma = _planted_gamma(QQ, n, rng.substream("gamma"), directions[i], P31)
     exact = []
+    exact_rank = census_module._exact_rank
 
-    def counted(g, v):
-        exact.append(v)
-        return point_rank_check(g, v)
+    def counted(field, ints):
+        exact.append((ints, exact_rank(field, ints)))
+        return exact[-1][1]
 
-    monkeypatch.setattr(census_module, "point_rank_check", counted)
+    monkeypatch.setattr(census_module, "_exact_rank", counted)
     assert _point_ranks(gamma, rng.substream("directions"), points) == (True, points)
-    assert exact == [directions[i]]
-    alpha = linalg._integers(evaluate_alpha(gamma, directions[i]))
-    assert rank(Matrix(GF31, alpha.tolist())) < n == rank(evaluate_alpha(gamma, directions[i]))
+    # one exact rank, of the integer alpha at direction i: its rows are
+    # multiples of alpha(v)'s rows, short of rank n mod P31 and of full rank
+    alpha = evaluate_alpha(gamma, directions[i])
+    [(ints, r)] = exact
+    assert all(rank(Matrix(QQ, [row, list(a)])) <= 1 for row, a in zip(ints.tolist(), alpha.data))
+    assert rank(Matrix(GF31, ints.tolist())) < n == r == rank(alpha)

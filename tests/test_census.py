@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from barthslice import census as census_module
-from barthslice.barth import canonical_fiber_solutions, fiber_system, vec_fiber
+from barthslice.barth import _fiber_blocks, _fiber_stack, canonical_fiber_solutions, fiber_system, vec_fiber, vec_half
 from barthslice.census import (
     CERTIFICATE_VERSION,
     census_threshold,
@@ -16,7 +17,7 @@ from barthslice.census import (
 )
 from barthslice.errors import DomainError, SamplingError
 from barthslice.fields import PrimeField, RationalField
-from barthslice.linalg import Matrix, kernel_basis, spans_match
+from barthslice.linalg import Matrix, _kernel, kernel_basis, spans_match
 from barthslice.rng import SeededRng
 
 GF = PrimeField()
@@ -155,7 +156,7 @@ def test_family_check_rejects_small_n():
 
 def test_family_negative_control_zero_half():
     # the all-zero half datum has full kernel, far above the canonical span
-    z = Matrix.zeros(GF, 8, 8)
+    z = Matrix(GF, [[0] * 8] * 8)
     from barthslice.barth import HalfData
 
     half = HalfData(8, z, z, (0,) * 8, (0,) * 8)
@@ -197,10 +198,10 @@ def _counted_kernel_points(monkeypatch, fixed=None) -> list:
     calls = []
     draw = census_module._nonzero_kernel_point
 
-    def counted(rng, field, basis, width):
-        calls.append(width)
-        point = draw(rng, field, basis, width)
-        return point if fixed is None else fixed
+    def counted(rng, field, k):
+        calls.append(k.shape)
+        point = draw(rng, field, k)
+        return point if fixed is None else np.array(fixed)
 
     monkeypatch.setattr(census_module, "_nonzero_kernel_point", counted)
     return calls
@@ -222,6 +223,36 @@ def test_witness_gives_up_on_the_canonical_solutions(monkeypatch):
     with pytest.raises(SamplingError):
         witness_certificate(5, SeededRng(12), GF)
     assert len(calls) == 64
+
+
+def _oracle_kernel_point(rng: SeededRng, field, half) -> list:
+    """The witness's draw before the integer kernel: the Fraction (or
+    residue) basis of `kernel_basis`, and a Matrix product of the draws."""
+    basis = kernel_basis(fiber_system(half))
+    for _ in range(64):
+        draws = Matrix(field, [[field.sample(rng) for _ in basis]], len(basis))
+        point = (draws @ Matrix(field, basis, half.n * (half.n + 3))).data[0]
+        if any(e != field.zero() for e in point):
+            return point
+    raise SamplingError("no nonzero kernel point")
+
+
+@pytest.mark.parametrize("field", [RationalField(sample_window=1), RationalField(sample_window=5),
+                                   RationalField(sample_window=100), GF, PrimeField(2**61 - 1)],
+                         ids=["QQ1", "QQ5", "QQ100", "GF31", "GF61"])
+def test_integer_kernel_point_over_d_is_the_fraction_draw(field):
+    for n in range(2, 9):
+        rng = SeededRng(n).substream("integer-point")
+        h = census_module._integer_draws(rng.substream("half"), field, n * (n + 3))
+        system = _fiber_stack(n, _fiber_blocks(n, h[None]))[0]
+        k, d = _kernel(field, system)
+        point = census_module._nonzero_kernel_point(rng.substream("coeffs"), field, k)
+        product = system.astype(object) @ point.astype(object)
+        assert not (product % field.p if isinstance(field, PrimeField) else product).any()
+        half = sample_half(rng.substream("half"), field, n)
+        assert vec_half(half) == h.tolist()  # QQ draws are integers
+        expected = _oracle_kernel_point(rng.substream("coeffs"), field, half)
+        assert vec_fiber(census_module._fiber_point(field, n, point, d)) == expected, n
 
 
 def test_witness_warns_outside_calibrated_range():

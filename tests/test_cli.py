@@ -223,3 +223,26 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_benchmark_commands_never_import_numpy_ma():
+    # np.unique, behind np.setdiff1d and np.union1d among others, imports
+    # numpy.ma, which adds about 1 MB to a CLI process's peak RSS; the
+    # census, family and witness commands of the benchmark's three workloads
+    # and dims run here in one process, which must not load it
+    commands = [
+        "census --n-min 4 --n-max 8 --seed 1 --prime 2147483647 --trials 100",
+        "family --n-min 20 --n-max 24 --seed 1 --prime 2147483647 --trials 1",
+        "witness --n-min 4 --n-max 7 --seed 1 --prime rational --window 5 --points 32",
+        "dims --n 1",
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from barthslice.cli import main\n"
+        f"for command in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(command.split()) == 0, command\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert result.stdout == "False\n", result.stderr

@@ -44,13 +44,13 @@ def sample_fiber(rng, field, n):
 
 
 def zero_fiber(field, n):
-    z = Matrix.zeros(field, n, n)
+    z = Matrix(field, [[0] * n] * n)
     zv = tuple(field.zero() for _ in range(n))
     return FiberData(z, z, zv, zv)
 
 
 def zero_slice(field, n):
-    z = Matrix.zeros(field, n, n)
+    z = Matrix(field, [[0] * n] * n)
     zv = tuple(field.zero() for _ in range(n))
     return SliceData(HalfData(n, z, z, zv, zv), zero_fiber(field, n))
 
@@ -61,7 +61,7 @@ def zero_slice(field, n):
 
 def test_half_data_requires_symmetry():
     with pytest.raises(InvariantError):
-        HalfData(2, Matrix(QQ, [[0, 1], [0, 0]]), Matrix.zeros(QQ, 2, 2), (0, 0), (0, 0))
+        HalfData(2, Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0] * 2] * 2), (0, 0), (0, 0))
 
 
 def test_half_data_rejects_char2():
@@ -72,9 +72,9 @@ def test_half_data_rejects_char2():
 
 def test_half_data_shape_checks():
     with pytest.raises(ShapeError):
-        HalfData(2, Matrix.zeros(QQ, 2, 2), Matrix.zeros(QQ, 2, 2), (0, 0, 0), (0, 0))
+        HalfData(2, Matrix(QQ, [[0] * 2] * 2), Matrix(QQ, [[0] * 2] * 2), (0, 0, 0), (0, 0))
     with pytest.raises(ShapeError):
-        HalfData(3, Matrix.zeros(QQ, 2, 2), Matrix.zeros(QQ, 2, 2), (0, 0, 0), (0, 0, 0))
+        HalfData(3, Matrix(QQ, [[0] * 2] * 2), Matrix(QQ, [[0] * 2] * 2), (0, 0, 0), (0, 0, 0))
 
 
 def test_slice_data_field_mismatch():
@@ -88,8 +88,8 @@ def test_residual_blocks_must_be_skew():
     with pytest.raises(InvariantError):
         SliceResidual(
             Matrix(QQ, [[1, 0], [0, 0]]),
-            Matrix.zeros(QQ, 2, 2),
-            Matrix.zeros(QQ, 2, 2),
+            Matrix(QQ, [[0] * 2] * 2),
+            Matrix(QQ, [[0] * 2] * 2),
         )
 
 
@@ -120,7 +120,7 @@ def test_wedge_antisymmetric_random():
     for _ in range(10):
         a = [GF.sample(rng) for _ in range(4)]
         b = [GF.sample(rng) for _ in range(4)]
-        assert wedge(GF, a, b) == -wedge(GF, b, a)
+        assert (wedge(GF, a, b) + wedge(GF, b, a)).is_zero()
 
 
 def test_residual_zero_slice():
@@ -131,7 +131,7 @@ def test_residual_identity_fiber_is_zero():
     rng = SeededRng(11)
     half = sample_half(rng, GF, 4)
     eye = Matrix.identity(GF, 4)
-    z = Matrix.zeros(GF, 4, 4)
+    z = Matrix(GF, [[0] * 4] * 4)
     zv = (0, 0, 0, 0)
     assert residual(SliceData(half, FiberData(eye, z, zv, zv))).is_zero()
 
@@ -140,7 +140,7 @@ def test_residual_oracle_n2():
     # A1=[[0,1],[1,0]], B1=[[1,0],[0,-1]], everything else zero
     a1 = Matrix(QQ, [[0, 1], [1, 0]])
     b1 = Matrix(QQ, [[1, 0], [0, -1]])
-    z = Matrix.zeros(QQ, 2, 2)
+    z = Matrix(QQ, [[0] * 2] * 2)
     x = SliceData(
         HalfData(2, a1, z, (0, 0), (0, 0)),
         FiberData(b1, z, (0, 0), (0, 0)),
@@ -155,7 +155,7 @@ def test_residual_vanishes_on_half_only_or_fiber_only():
     half = sample_half(rng, GF, 3)
     h1 = SliceData(half, zero_fiber(GF, 3))
     assert residual(h1).is_zero()
-    z = Matrix.zeros(GF, 3, 3)
+    z = Matrix(GF, [[0] * 3] * 3)
     zv = (0, 0, 0)
     h2 = SliceData(HalfData(3, z, z, zv, zv), sample_fiber(rng, GF, 3))
     assert residual(h2).is_zero()
@@ -252,7 +252,7 @@ def test_fiber_system_shape(n):
 
 
 def test_fiber_system_zero_half():
-    z = Matrix.zeros(GF, 3, 3)
+    z = Matrix(GF, [[0] * 3] * 3)
     half = HalfData(3, z, z, (0, 0, 0), (0, 0, 0))
     assert fiber_system(half).is_zero()
 
@@ -463,7 +463,7 @@ def test_sampling_error_after_exhausted_attempts(monkeypatch):
     "barthslice.barth.random_sl2(SeededRng(0), RationalField(sample_window=0))",
     "barthslice.census._sample_direction(SeededRng(0), RationalField(sample_window=0))",
     "barthslice.census._nonzero_kernel_point("
-    "SeededRng(0), RationalField(sample_window=0), [[1]], 1)",
+    "SeededRng(0), RationalField(sample_window=0), barthslice.census.np.ones((1, 1), dtype=object))",
 ])
 def test_resampling_loops_give_up(call):
     # Window 0 only ever draws zero.  The call runs in a child process so
@@ -511,7 +511,7 @@ def test_jacobian_half_block_is_negated_swapped_fiber_system(field):
         rows, width = 3 * n * (n - 1) // 2, n * (n + 3)
         swapped = HalfData(n, fib.B1, fib.B2, fib.b1, fib.b2)
         half_block = jacobian(SliceData(half, fib)).submatrix(0, rows, 0, width)
-        assert half_block == -fiber_system(swapped)
+        assert (half_block + fiber_system(swapped)).is_zero()
 
 
 def test_jacobian_zero_point():
