@@ -5,126 +5,45 @@ linear fiber systems over GF(p) or the rationals with exact arithmetic,
 and emits reproducible JSON certificates for fiber dimensions, the pencil
 rank condition, monad-level checks, Jacobian transversality, and the
 canonical four-dimensional solution family at large charge.
+
+Each public name is loaded from its module when first read (PEP 562), so
+``import barthslice.rng`` imports neither numpy nor the other modules.
 """
 
-from ._version import __version__
-from .barth import (
-    FiberData,
-    GroupElement,
-    HalfData,
-    SliceData,
-    SliceResidual,
-    apply_group,
-    canonical_fiber_solutions,
-    compose_group,
-    fiber_from_vec,
-    fiber_system,
-    half_from_vec,
-    jacobian,
-    random_group_element,
-    random_orthogonal,
-    random_sl2,
-    residual,
-    skew_index,
-    sym_index,
-    vec_fiber,
-    vec_half,
-    vec_skew,
-    wedge,
-)
-from .census import (
-    CERTIFICATE_VERSION,
-    Certificate,
-    DimensionRecord,
-    WitnessReport,
-    census_threshold,
-    certificate_ok,
-    dimension_formulas,
-    expected_kernel_dim,
-    fiber_census,
-    sample_half,
-    witness_certificate,
-)
-from .errors import (
-    BarthSliceError,
-    DomainError,
-    InvariantError,
-    SamplingError,
-    ShapeError,
-)
-from .fields import DEFAULT_PRIME, PrimeField, RationalField
-from .linalg import Matrix, inverse, kernel_basis, matvec, rank, rref, spans_match
-from .monad import (
-    GammaMatrix,
-    PencilReport,
-    build_gamma,
-    evaluate_alpha,
-    monad_condition,
-    pencil_check,
-    point_rank_check,
-)
-from .rng import ALGORITHM_ID, SeededRng
-from .selftest import SelftestResult, run_selftest
+from importlib import import_module
 
-__all__ = [
-    "ALGORITHM_ID",
-    "BarthSliceError",
-    "CERTIFICATE_VERSION",
-    "Certificate",
-    "DEFAULT_PRIME",
-    "DimensionRecord",
-    "DomainError",
-    "FiberData",
-    "GammaMatrix",
-    "GroupElement",
-    "HalfData",
-    "InvariantError",
-    "Matrix",
-    "PencilReport",
-    "PrimeField",
-    "RationalField",
-    "SamplingError",
-    "SeededRng",
-    "SelftestResult",
-    "ShapeError",
-    "SliceData",
-    "SliceResidual",
-    "WitnessReport",
-    "__version__",
-    "apply_group",
-    "build_gamma",
-    "canonical_fiber_solutions",
-    "census_threshold",
-    "certificate_ok",
-    "compose_group",
-    "dimension_formulas",
-    "evaluate_alpha",
-    "expected_kernel_dim",
-    "fiber_census",
-    "fiber_from_vec",
-    "fiber_system",
-    "half_from_vec",
-    "inverse",
-    "jacobian",
-    "kernel_basis",
-    "matvec",
-    "monad_condition",
-    "pencil_check",
-    "point_rank_check",
-    "random_group_element",
-    "random_orthogonal",
-    "random_sl2",
-    "rank",
-    "residual",
-    "rref",
-    "run_selftest",
-    "sample_half",
-    "skew_index",
-    "spans_match",
-    "sym_index",
-    "vec_fiber",
-    "vec_half",
-    "vec_skew",
-    "wedge",
-    "witness_certificate",
-]
+from ._version import __version__
+
+# the public names by defining module
+_PUBLIC = {
+    "barth": ("FiberData", "GroupElement", "HalfData", "SliceData", "SliceResidual", "apply_group",
+              "canonical_fiber_solutions", "compose_group", "fiber_from_vec", "fiber_system", "half_from_vec",
+              "jacobian", "random_group_element", "random_orthogonal", "random_sl2", "residual", "skew_index",
+              "sym_index", "vec_fiber", "vec_half", "vec_skew", "wedge"),
+    "census": ("CERTIFICATE_VERSION", "Certificate", "DimensionRecord", "WitnessReport", "census_threshold",
+               "certificate_ok", "dimension_formulas", "expected_kernel_dim", "fiber_census", "sample_half",
+               "witness_certificate"),
+    "errors": ("BarthSliceError", "DomainError", "InvariantError", "SamplingError", "ShapeError"),
+    "fields": ("DEFAULT_PRIME", "PrimeField", "RationalField"),
+    "linalg": ("Matrix", "inverse", "kernel_basis", "matvec", "rank", "rref", "spans_match"),
+    "monad": ("GammaMatrix", "PencilReport", "build_gamma", "evaluate_alpha", "monad_condition", "pencil_check",
+              "point_rank_check"),
+    "rng": ("ALGORITHM_ID", "SeededRng"),
+    "selftest": ("SelftestResult", "run_selftest"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DomainError, InvariantError, SamplingError, ShapeError
 from .fields import Field, PrimeField
-from .linalg import Matrix, _from_np, _matmul_mod, _ranks_mod, _residues, inverse, matvec
+from .linalg import Matrix, _matmul_mod, _matrix, _ranks_mod, _residues, inverse, matvec
 
 # numpy after .linalg, which loads it too: with no bytecode cache, compiling
 # linalg.py before numpy is resident keeps the CLI's peak RSS 0.5 MB lower
@@ -339,13 +339,12 @@ def _block_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return (r, kj, ik), (r, ik, kj)
 
 
-def _fiber_blocks(n: int, h: np.ndarray, zero=0) -> np.ndarray:
+def _fiber_blocks(n: int, h: np.ndarray) -> np.ndarray:
     """The blocks L1 = L(A1, a1) and L2 = L(A2, a2) of each half vector in a
     (trials, n(n+3)) stack h, as a (trials, 2, n(n-1)/2, n(n+3)/2) stack of
     h's dtype over block-local columns (vech Y, y); entries are signed sums
-    of at most two coordinates, not reduced, and `zero` fills the entries
-    no term reaches."""
-    out = np.full((h.shape[0], 2, n * (n - 1) // 2, n * (n + 3) // 2), zero, dtype=h.dtype)
+    of at most two coordinates, not reduced, and 0 where no term reaches."""
+    out = np.zeros((h.shape[0], 2, n * (n - 1) // 2, n * (n + 3) // 2), dtype=h.dtype)
     (pr, pc, ph), (mr, mc, mh) = _block_index(n)
     for b in (0, 1):
         out[:, b, pr, pc] = h[:, _place(ph, b, n)]
@@ -422,13 +421,13 @@ def _krylov_brackets(n: int, h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
     return m.reshape(t, a.size, 4 * n), cyclic.reshape(t, 2)
 
 
-def _fiber_stack(n: int, blocks: np.ndarray, zero=0) -> np.ndarray:
+def _fiber_stack(n: int, blocks: np.ndarray) -> np.ndarray:
     """The fiber systems L = [[L1, 0], [0, L2], [L2, L1]] of a stack of
     blocks from `_fiber_blocks`, as a (trials, 3n(n-1)/2, n(n+3)) stack of
-    their dtype in vec_fiber column order; `zero` fills the zero blocks."""
+    their dtype in vec_fiber column order."""
     trials, _, q, w = blocks.shape
     cols = [_place(np.arange(w), b, n) for b in (0, 1)]
-    out = np.full((trials, 3 * q, n * (n + 3)), zero, dtype=blocks.dtype)
+    out = np.zeros((trials, 3 * q, n * (n + 3)), dtype=blocks.dtype)
     # (equation, fiber block (B_b, b_b), block L_i)
     for e, b, i in ((0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)):
         out[:, e * q:(e + 1) * q, cols[b]] = blocks[:, i]
@@ -441,12 +440,7 @@ def _system_array(field: Field, n: int, vecs: list) -> np.ndarray:
     h = np.array(vecs, dtype=object)
     if isinstance(field, PrimeField):
         h = _residues(h, field.p)
-    return _fiber_stack(n, _fiber_blocks(n, h, field.zero()), field.zero())
-
-
-def _to_matrix(field: Field, a: np.ndarray) -> Matrix:
-    """`a` as a Matrix of canonical entries: reduced mod p over GF(p)."""
-    return _from_np(field, a % field.p if isinstance(field, PrimeField) else a)
+    return _fiber_stack(n, _fiber_blocks(n, h))
 
 
 def fiber_system(half: HalfData) -> Matrix:
@@ -459,7 +453,7 @@ def fiber_system(half: HalfData) -> Matrix:
     table of L(Y, y) = [X, Y] + x ^ y (`_block_index`), filled with (A_i,
     a_i), and are laid out in vec_fiber column order.
     """
-    return _to_matrix(half.field, _system_array(half.field, half.n, [vec_half(half)])[0])
+    return _matrix(half.field, _system_array(half.field, half.n, [vec_half(half)])[0])
 
 
 def canonical_fiber_solutions(half: HalfData) -> list[FiberData]:
@@ -609,4 +603,4 @@ def jacobian(x: SliceData) -> Matrix:
     """
     minus_fiber = [x.field.neg(c) for c in vec_fiber(x.fiber)]
     systems = _system_array(x.field, x.n, [minus_fiber, vec_half(x.half)])
-    return _to_matrix(x.field, np.hstack([*systems]))
+    return _matrix(x.field, np.hstack([*systems]))

@@ -15,8 +15,6 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from ._version import __version__
 from .barth import (
     FiberData,
@@ -32,10 +30,12 @@ from .barth import (
 )
 from .errors import DomainError, SamplingError
 from .fields import Field, PrimeField
-from .linalg import (_STACK_ENTRIES, Matrix, _exact_rank, _integers, _kernel, _matmul_mod, _primes, _ranks_mod,
+from .linalg import (_STACK_ENTRIES, Matrix, _exact_rank, _integers, _kernel, _matmul_mod, _matrix, _primes, _ranks_mod,
                      _residues)
 from .monad import GammaMatrix, PencilReport, build_gamma, monad_condition, pencil_check
 from .rng import ALGORITHM_ID, SeededRng
+
+import numpy as np  # noqa: E402  (after the package modules, for peak RSS: see barth.py)
 
 CERTIFICATE_VERSION = f"{__version__}+{ALGORITHM_ID}"
 
@@ -348,8 +348,7 @@ def _nonzero_kernel_point(rng: SeededRng, field: Field, k: np.ndarray) -> np.nda
 
 def _fiber_point(field: Field, n: int, point: np.ndarray, d: int) -> FiberData:
     """The fiber at the integer kernel point over `_kernel`'s d (1 over GF(p))."""
-    coords = point.tolist() if isinstance(field, PrimeField) else [field.coerce(x) / d for x in point.tolist()]
-    return fiber_from_vec(field, n, coords)
+    return fiber_from_vec(field, n, _matrix(field, point[None], d).data[0])
 
 
 def _sample_direction(rng: SeededRng, field: Field) -> list:

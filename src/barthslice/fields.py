@@ -25,11 +25,13 @@ DEFAULT_PRIME = 2_147_483_647
 #: rejected unless explicitly allowed.
 SMALL_PRIME_FLOOR = 1 << 20
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, exact for all n < `_MR_LIMIT` (about 3.3 * 10**24)."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -59,12 +61,15 @@ class PrimeField:
     Primes below 2**20 are rejected: the random genericity checks (census
     trials, witness directions) hit special points too often there.
     ``allow_small=True`` accepts them anyway, for exact arithmetic that
-    draws nothing at random.
+    draws nothing at random.  Moduli from `_MR_LIMIT` on are rejected too,
+    as `is_prime` is not exact there.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME, *, allow_small: bool = False):
         if not isinstance(p, int) or not is_prime(p):
             raise DomainError(f"modulus {p!r} is not prime")
+        if p >= _MR_LIMIT:
+            raise DomainError(f"modulus {p} is at least {_MR_LIMIT}, past which primality is not certified")
         if p < SMALL_PRIME_FLOOR and not allow_small:
             raise DomainError(
                 f"prime {p} is below 2**20, where random genericity checks are unreliable"

@@ -171,13 +171,12 @@ class Matrix:
             )
         field = self.field
         if isinstance(field, PrimeField):
-            return _from_np(field, _matmul_mod(_integers(self), _integers(other), field.p))
+            return _matrix(field, _matmul_mod(_integers(self), _integers(other), field.p))
         a, lcms = _cleared(self.data)
         (b,), (d,) = _cleared([[x for row in other.data for x in row]])
         a = np.array(a, dtype=object).reshape(self.rows, self.cols)
         b = np.array(b, dtype=object).reshape(other.rows, other.cols)
-        data = [[Fraction(x, k * d) for x in row] for row, k in zip((a @ b).tolist(), lcms)]
-        return Matrix._raw(field, data, other.cols)
+        return _matrix(field, a @ b, np.array(lcms, dtype=object)[:, None] * d)
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -243,8 +242,14 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return (a % p).astype(np.int64 if p < _FAST_PRIME_LIMIT else object)
 
 
-def _from_np(field: Field, arr: np.ndarray) -> Matrix:
-    return Matrix._raw(field, arr.tolist(), arr.shape[1])
+def _matrix(field: Field, ints: np.ndarray, d=1) -> Matrix:
+    """The Matrix of the integer array `ints` over `d`, the one way back from
+    integer images: over GF(p) the residues of `ints` (d = 1), over QQ the
+    reduced Fractions ints / d, where `d` may be a column of row denominators
+    (`barth._system_array` passes the Fractions of a half, with d = 1)."""
+    if isinstance(field, PrimeField):
+        return Matrix._raw(field, (ints % field.p).tolist(), ints.shape[1])
+    return Matrix._raw(field, np.frompyfunc(Fraction, 2, 1)(ints, d).tolist(), ints.shape[1])
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -572,12 +577,12 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns (both canonical)."""
     if isinstance(m.field, PrimeField):
         arr, pivots = _rref_mod(_integers(m), m.field.p)
-        return _from_np(m.field, arr), pivots
+        return _matrix(m.field, arr), pivots
     d, num, pivots = _rref_qq(_integers(m))
-    out = np.full((m.rows, m.cols), Fraction(0), dtype=object)
-    out[:len(pivots), sorted(set(range(m.cols)) - set(pivots))] = np.frompyfunc(Fraction, 2, 1)(num, d)
-    out[range(len(pivots)), pivots] = Fraction(1)
-    return _from_np(m.field, out), pivots
+    out = np.zeros((m.rows, m.cols), dtype=object)
+    out[:len(pivots), sorted(set(range(m.cols)) - set(pivots))] = num
+    out[range(len(pivots)), pivots] = d
+    return _matrix(m.field, out, d), pivots
 
 
 def _exact_rank(field: Field, ints: np.ndarray) -> int:
@@ -620,8 +625,7 @@ def kernel_basis(m: Matrix) -> list[list]:
     iff the returned bases are equal.  It is `_kernel`'s K over its d.
     """
     k, d = _kernel(m.field, _integers(m))
-    k = k.T.tolist()
-    return k if isinstance(m.field, PrimeField) else [[Fraction(x, d) for x in v] for v in k]
+    return _matrix(m.field, k.T, d).data
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -43,7 +43,7 @@ from barthslice.barth import SliceData, fiber_from_vec, fiber_system, jacobian
 from barthslice.census import sample_half, witness_certificate
 from barthslice.errors import InvariantError
 from barthslice.fields import DEFAULT_PRIME, PrimeField, RationalField, is_prime
-from barthslice.linalg import (Matrix, _PANEL, _exact_rank, _free_kernel, _from_np, _integers, _kernel, _matmul_mod,
+from barthslice.linalg import (Matrix, _PANEL, _exact_rank, _free_kernel, _integers, _kernel, _matmul_mod, _matrix,
                                _residues, _rref_mod, kernel_basis, rank, rref)
 from barthslice.rng import SeededRng
 
@@ -401,7 +401,7 @@ def test_rational_results_reduce_to_modular_ones(label, m):
     arr, pivots = _rref61(label, m)
     # over GF(2^61 - 1), rref and kernel_basis as read off the shared elimination
     modular = [(P31, *rref(gf), kernel_basis(gf)),
-               (P61, _from_np(GF61, arr), pivots,
+               (P61, _matrix(GF61, arr), pivots,
                 (_free_kernel(np.delete(arr[:len(pivots)], pivots, axis=1), pivots, m.cols) % P61).T.tolist())]
     for p, red_gf, pivots_gf, kernel_gf in modular:
         assert pivots_qq == pivots_gf

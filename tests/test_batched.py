@@ -118,7 +118,7 @@ def test_stacked_assembly_gives_each_trial_its_fiber_system(field):
     for n in range(1, 11):
         halves = _planted(field, n, SeededRng(79).substream(f"n={n}"))
         h = np.array(halves, dtype=np.int64 if field is GF31 else object)
-        stack = _fiber_stack(n, _fiber_blocks(n, h, field.zero()), field.zero())
+        stack = _fiber_stack(n, _fiber_blocks(n, h))
         if isinstance(field, PrimeField):
             stack %= field.p
         assert stack.shape == (len(halves), 3 * n * (n - 1) // 2, n * (n + 3))

@@ -134,6 +134,17 @@ def test_range_flags_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"],
+                         ids=["psi12", "psi13"])
+def test_uncertified_modulus_exits_2(capsys, modulus):
+    # strong pseudoprimes to the first 12 and 13 prime bases are no fields
+    code, out, err = run_cli(capsys, "census", "--n-min", "4", "--n-max", "4", "--trials", "5",
+                             "--seed", "1", "--prime", modulus)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: modulus {modulus} ") and err.count("\n") == 1
+
+
 def test_missing_seed_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--n", "4"])

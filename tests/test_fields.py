@@ -22,6 +22,23 @@ def test_prime_field_rejects_composite():
         PrimeField(2_147_483_646)
 
 
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI12 = 318_665_857_834_031_151_167_461  # 399165290221 * 798330580441
+PSI13 = 3_317_044_064_679_887_385_961_981  # 1287836182261 * 2575672364521
+
+
+def test_prime_field_rejects_strong_pseudoprimes():
+    # psi12 passes the Miller-Rabin bases up to 37, so base 41 is needed
+    assert PSI12 == 399_165_290_221 * 798_330_580_441 and not is_prime(PSI12)
+    with pytest.raises(DomainError, match="is not prime"):
+        PrimeField(PSI12)
+    # psi13 passes all 13 bases: is_prime is exact only below it
+    assert PSI13 == 1_287_836_182_261 * 2_575_672_364_521
+    with pytest.raises(DomainError, match="primality is not certified"):
+        PrimeField(PSI13)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
 def test_prime_field_rejects_small_prime_by_default():
     with pytest.raises(DomainError):
         PrimeField(7)
